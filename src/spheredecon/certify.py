@@ -34,7 +34,6 @@ __all__ = [
     "Certificate",
     "VerificationReport",
     "mz_constants",
-    "certify_family",
     "find_family_size",
     "phi_tail",
     "bound_apriori",
@@ -78,12 +77,6 @@ def mz_constants(fam: MzFamily, m: int) -> MzConstants:
     )
 
 
-def certify_family(fam: MzFamily, m: int) -> tuple[MzFamily, MzConstants]:
-    """Measure the frame constants and stamp them onto the family."""
-    const = mz_constants(fam, m)
-    return fam.certified(m, const.A, const.B), const
-
-
 def find_family_size(
     m: int,
     eps_target: float = 0.5,
@@ -95,7 +88,7 @@ def find_family_size(
     """Double the partition size until the measured epsilon meets the target.
 
     The needed size exists but its constant is not known a priori, so the
-    search is empirical.  Returns the partition, the certified family, its
+    search is empirical.  Returns the partition, the family, its measured
     constants, and the (N, epsilon) search history.
     """
     if not (0 < eps_target < 1):
@@ -108,7 +101,6 @@ def find_family_size(
         const = mz_constants(fam, m)
         history.append((n, const.epsilon))
         if const.epsilon <= eps_target:
-            fam, const = certify_family(fam, m)
             return partition, fam, const, history
         n *= 2
     raise RuntimeError(

@@ -47,21 +47,25 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _merge_config(args: argparse.Namespace, keys: list[str]) -> None:
-    """Fill unset flags from the --config JSON file (flags win)."""
-    if getattr(args, "config", None) is None:
+def _merge_config(args: argparse.Namespace) -> None:
+    """Fill unset flags from the --config JSON file (flags win).
+
+    The accepted keys are the flag destinations argparse put on the
+    namespace for the chosen subcommand.
+    """
+    if args.config is None:
         return
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read config {args.config}: {exc}") from exc
-    unknown = set(cfg) - set(keys)
+    unknown = set(cfg) - (set(vars(args)) - {"command", "config", "func"})
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}")
-    for key in keys:
-        if key in cfg and getattr(args, key, None) is None:
-            setattr(args, key, cfg[key])
+    for key, value in cfg.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
 
 
 def _require(args, *names):
@@ -97,7 +101,6 @@ def _load_coeffs(path) -> CoefficientVector:
 
 
 def _cmd_partition(args) -> int:
-    _merge_config(args, ["n", "out_json", "out_csv"])
     _require(args, "n", "out_json")
     partition = build_partition(int(args.n))
     write_partition_json(args.out_json, partition)
@@ -107,7 +110,6 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_nodes(args) -> int:
-    _merge_config(args, ["n", "rule", "node_seed", "out"])
     _require(args, "n", "out")
     rule = args.rule or "area_center"
     fam = _build_family(int(args.n), rule, args.node_seed)
@@ -153,9 +155,6 @@ def _make_filter(args) -> filt_mod.MultiplierFilter:
 
 
 def _cmd_filter(args) -> int:
-    keys = ["kind", "m_max", "theta0", "lam0", "radius", "altitude", "tol",
-            "gamma", "zeta", "quadrature", "out"]
-    _merge_config(args, keys)
     _require(args, "kind", "m_max", "out")
     filt = _make_filter(args)
     write_json(args.out, filt_mod.filter_to_json(filt))
@@ -175,10 +174,6 @@ def _get_truth(args) -> CoefficientVector:
 
 
 def _cmd_simulate(args) -> int:
-    keys = ["filter", "truth", "truth_m_max", "truth_sigma", "truth_seed",
-            "truth_unit_norm", "n", "rule", "node_seed", "beta", "seed",
-            "out", "sidecar", "save_truth"]
-    _merge_config(args, keys)
     _require(args, "filter", "n", "beta", "out")
     beta = float(args.beta)
     if beta > 0 and args.seed is None:
@@ -194,8 +189,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    keys = ["filter", "measurements", "sidecar", "m", "out"]
-    _merge_config(args, keys)
     _require(args, "filter", "measurements", "m", "out")
     filt = _load_filter(args.filter)
     ms = read_measurements_csv(args.measurements, sidecar_path=args.sidecar)
@@ -206,9 +199,6 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    keys = ["filter", "n", "rule", "node_seed", "m", "omega", "gamma", "zeta",
-            "beta", "norm_f_sigma", "truth", "solution", "out"]
-    _merge_config(args, keys)
     _require(args, "filter", "n", "m", "omega", "beta", "out")
     filt = _load_filter(args.filter)
     m = int(args.m)
@@ -253,8 +243,6 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_verify_mz(args) -> int:
-    keys = ["n", "m", "rule", "node_seed", "out"]
-    _merge_config(args, keys)
     _require(args, "n", "m")
     fam = _build_family(int(args.n), args.rule or "area_center", args.node_seed)
     const = cert_mod.mz_constants(fam, int(args.m))
@@ -336,11 +324,6 @@ _EXPERIMENT_COLUMNS = ["m", "N", "beta", "measured_L2", "measured_Hzeta",
 
 
 def _cmd_experiment(args) -> int:
-    keys = ["filter", "truth", "truth_m_max", "truth_sigma", "truth_seed",
-            "truth_unit_norm", "omega", "gamma", "zeta", "m_grid", "beta",
-            "betas", "seed", "nodes_factor", "rule", "node_seed", "out",
-            "out_json"]
-    _merge_config(args, keys)
     _require(args, "filter", "omega", "m_grid", "out")
     filt = _load_filter(args.filter)
     if args.gamma is not None:
@@ -524,6 +507,7 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _merge_config(args)
         return args.func(args)
     except CliError as exc:
         json.dump({"error": str(exc), "type": "config"}, sys.stderr, sort_keys=True)

@@ -259,33 +259,33 @@ def multipliers_from_profile(
     m_max: int = 0,
     tol: float = 1e-10,
 ) -> MultiplierFilter:
-    """Multipliers of a radial profile by per-degree adaptive quadrature.
+    """Multipliers of a radial profile by one adaptive quadrature for all degrees.
 
-    The integrand of degree m is resolved with at least 4m base panels over
-    the profile support before adaptivity kicks in (the Jacobi polynomial
-    oscillates ~m times on [0, pi]).
+    The integrand is the whole table P_0 .. P_{m_max} at the quadrature points,
+    scaled by h0(r) A(r), so each pass of the rule yields every b_m.  The rule
+    starts from 4 m_max panels over the profile support (the top Jacobi
+    polynomial oscillates ~m_max times on [0, pi]) and doubles until every
+    degree has converged to within ``tol``.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
     lo, hi = profile.support
-    b = np.empty(m_max + 1)
-    for m in range(m_max + 1):
-        norm = jacobi_at_one(m, params)
+    norm = np.array([jacobi_at_one(m, params) for m in range(m_max + 1)])
 
-        def integrand(r, m=m, norm=norm):
-            return (
-                profile.evaluate(r)
-                * jacobi_all(m, params, np.cos(r))[m]
-                / norm
-                * radial_density(r, params)
-            )
+    def integrand(r):
+        table = jacobi_all(m_max, params, np.cos(r))
+        table *= profile.evaluate(r) * radial_density(r, params)
+        return table
 
-        try:
-            b[m] = adaptive_quadrature(
-                integrand, lo, hi, tol=tol, base_panels=max(8, 4 * m)
-            )
-        except QuadratureError as exc:
-            raise QuadratureError(f"quadrature for b_{m} failed: {exc}") from exc
+    try:
+        # the tolerance applies to b_m = integral / P_m(1); norm[0] = 1
+        b = adaptive_quadrature(
+            integrand, lo, hi, tol=tol * norm.min(), base_panels=max(8, 4 * m_max)
+        ) / norm
+    except QuadratureError as exc:
+        raise QuadratureError(f"quadrature for b_0..b_{m_max} failed: {exc}") from exc
     return MultiplierFilter(b, provenance="quadrature")
 
 

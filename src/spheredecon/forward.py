@@ -138,10 +138,16 @@ def read_measurements_csv(path, sidecar_path=None) -> MeasurementSet:
         header = fh.readline().strip()
         if header != "theta,phi,weight,y":
             raise ValueError(f"unexpected measurement CSV header: {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != 4:
+                raise ValueError(f"{path}: line {lineno} has {len(fields)} fields, expected 4")
+            rows.append([float(v) for v in fields])
+    if not rows:
+        raise ValueError(f"{path}: no measurement rows")
     data = np.asarray(rows, dtype=float)
     meta = {"beta": 0.0, "seed": None, "truth_ref": None}
     if sidecar_path is not None:

@@ -25,7 +25,6 @@ __all__ = [
     "num_coeffs",
     "block_slice",
     "index_of",
-    "degree_of_index",
     "normalized_legendre",
     "basis_matrix",
     "eval_basis",
@@ -59,10 +58,6 @@ def index_of(m: int, ell: int) -> int:
     if not (1 <= ell <= 2 * m + 1):
         raise ValueError(f"order ell must be in 1..{2 * m + 1} for degree {m}, got {ell}")
     return m * m + ell - 1
-
-
-def degree_of_index(k: int) -> int:
-    return int(math.isqrt(k))
 
 
 @dataclass(frozen=True)

@@ -142,14 +142,17 @@ _GL_ORDER = 12
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
-def _composite_gl(f: Callable, lo: float, hi: float, panels: int) -> float:
+def _composite_gl(f: Callable, lo: float, hi: float, panels: int) -> float | np.ndarray:
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    # points shaped (panels, order), evaluated in one vectorized call
+    # points shaped (panels, order), evaluated in one vectorized call; a
+    # vector integrand returns (k, points) and yields k integrals
     pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = f(pts.ravel()).reshape(pts.shape)
-    return float(np.sum(vals @ _GL_WEIGHTS * half))
+    vals = f(pts.ravel())
+    vals = vals.reshape(vals.shape[:-1] + pts.shape)
+    total = np.sum(vals @ _GL_WEIGHTS * half, axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def adaptive_quadrature(
@@ -159,12 +162,15 @@ def adaptive_quadrature(
     tol: float = 1e-12,
     base_panels: int = 8,
     max_panels: int = 1 << 18,
-) -> float:
+) -> float | np.ndarray:
     """Integrate a vectorized integrand on [lo, hi] to absolute tolerance.
 
     Composite Gauss-Legendre with panel doubling: the panel count doubles
-    until two successive composite values agree within ``tol``.  Raises
-    QuadratureError if the panel budget is exhausted first.
+    until two successive composite values agree within ``tol``.  An integrand
+    returning shape (k, points) integrates k functions on one rule; it
+    returns a (k,) array, and every component must agree within ``tol``.  A
+    scalar integrand returns a float.  Raises QuadratureError if the panel
+    budget is exhausted first.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -175,7 +181,7 @@ def adaptive_quadrature(
     while panels <= max_panels:
         panels *= 2
         cur = _composite_gl(f, lo, hi, panels)
-        if abs(cur - prev) < tol:
+        if np.max(np.abs(cur - prev)) < tol:
             return cur
         prev = cur
     raise QuadratureError(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -289,15 +289,11 @@ def build_partition(N: int) -> EqualAreaPartition:
 class MzFamily:
     """Sampling nodes and weights, one node per partition region.
 
-    ``degree`` and the frame constants stay unset until the family has been
-    certified against a polynomial degree (see certify.mz_constants).
+    Frame constants are measured, not stored: see certify.mz_constants.
     """
 
     nodes: tuple
     weights: np.ndarray
-    degree: Optional[int] = None
-    frame_lower: Optional[float] = None
-    frame_upper: Optional[float] = None
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -308,16 +304,6 @@ class MzFamily:
             raise ValueError("weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-        if self.frame_lower is not None and self.frame_upper is not None:
-            # the sampled energy of q = 1 is exactly sum(tau) = 1, so a valid
-            # frame-constant pair always brackets 1
-            if not (0 < self.frame_lower <= 1 + 1e-9 <= self.frame_upper + 2e-9):
-                raise ValueError("need 0 < frame_lower <= 1 <= frame_upper")
-
-    def certified(self, degree: int, frame_lower: float, frame_upper: float) -> "MzFamily":
-        return replace(
-            self, degree=degree, frame_lower=frame_lower, frame_upper=frame_upper
-        )
 
 
 def pick_nodes(

@@ -14,7 +14,6 @@ from spheredecon.certify import (
     predicted_rate_exponent,
     verify_bound,
     certificate_to_json,
-    certify_family,
 )
 from spheredecon.filters import cap_multipliers, fit_decay, fit_lower, identity_multipliers
 from spheredecon.forward import apply_multiplier, simulate
@@ -61,19 +60,12 @@ class TestMzConstants:
             eps.append(mz_constants(fam, m).epsilon)
         assert eps[0] >= eps[1] >= eps[2]
 
-    def test_certify_family_stamps(self):
-        fam = pick_nodes(build_partition(256))
-        stamped, const = certify_family(fam, 3)
-        assert stamped.degree == 3
-        assert stamped.frame_lower == const.A
-        assert stamped.frame_upper == const.B
-
 
 class TestFindFamilySize:
     def test_reaches_target(self):
         partition, fam, const, history = find_family_size(4, eps_target=0.5)
         assert const.epsilon <= 0.5
-        assert fam.degree == 4
+        assert const.degree == 4
         assert history[-1][0] == partition.N
         assert all(h[1] > 0.5 for h in history[:-1])
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from spheredecon import cli
 from spheredecon.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -143,6 +144,80 @@ class TestConfigHandling:
         code, _, _ = run(["partition", "--config", cfg, "--n", 64, "--out-json", out], capsys)
         assert code == 0
         assert json.loads(out.read_text())["N"] == 64
+
+
+SUBCOMMAND_FLAGS = {
+    "partition": ["n", "out_json", "out_csv"],
+    "nodes": ["n", "rule", "node_seed", "out"],
+    "filter": ["kind", "m_max", "theta0", "lam0", "radius", "altitude", "tol",
+               "gamma", "zeta", "quadrature", "out"],
+    "simulate": ["filter", "truth", "truth_m_max", "truth_sigma", "truth_seed",
+                 "truth_unit_norm", "n", "rule", "node_seed", "beta", "seed",
+                 "out", "sidecar", "save_truth"],
+    "reconstruct": ["filter", "measurements", "sidecar", "m", "out"],
+    "certify": ["filter", "n", "rule", "node_seed", "m", "omega", "gamma", "zeta",
+                "beta", "norm_f_sigma", "truth", "solution", "out"],
+    "verify-mz": ["n", "m", "rule", "node_seed", "out"],
+    "experiment": ["filter", "truth", "truth_m_max", "truth_sigma", "truth_seed",
+                   "truth_unit_norm", "omega", "gamma", "zeta", "m_grid", "beta",
+                   "betas", "seed", "nodes_factor", "rule", "node_seed", "out",
+                   "out_json"],
+}
+
+
+class TestConfigKeys:
+    @pytest.fixture
+    def dispatched(self, monkeypatch):
+        """Replace every command with a recorder of the merged arguments."""
+        seen = []
+        for command in SUBCOMMAND_FLAGS:
+            name = "_cmd_" + command.replace("-", "_")
+            monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
+        return seen
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+    def test_every_flag_is_a_config_key(self, command, tmp_path, capsys, dispatched):
+        cfg = {key: f"value of {key}" for key in SUBCOMMAND_FLAGS[command]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run([command, "--config", path], capsys)
+        assert code == 0, err
+        assert len(dispatched) == 1
+        merged = dispatched[0]
+        assert set(merged) == set(cfg) | {"command", "config", "func"}
+        assert all(merged[key] == value for key, value in cfg.items())
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+    def test_extra_key_rejected(self, command, tmp_path, capsys, dispatched):
+        cfg = {key: None for key in SUBCOMMAND_FLAGS[command]}
+        cfg["not_a_flag"] = 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run([command, "--config", path], capsys)
+        assert code == 2
+        assert "not_a_flag" in json.loads(err)["error"]
+        assert dispatched == []
+
+
+class TestMalformedMeasurements:
+    @pytest.mark.parametrize(
+        "body", ["theta,phi,weight,y\n", "theta,phi,weight,y\n0.5,1.0,1.0\n"],
+        ids=["header_only", "short_row"],
+    )
+    def test_reconstruct_reports_json_error(self, body, tmp_path, capsys):
+        filt = tmp_path / "f.json"
+        run(["filter", "--kind", "identity", "--m-max", 2, "--out", filt], capsys)
+        meas = tmp_path / "meas.csv"
+        meas.write_text(body)
+        code, _, err = run(
+            ["reconstruct", "--filter", filt, "--measurements", meas, "--m", 1,
+             "--out", tmp_path / "sol.json"],
+            capsys,
+        )
+        assert code == 1
+        error = json.loads(err)
+        assert error["type"] == "ValueError"
+        assert str(meas) in error["error"]
 
 
 class TestRoundTrip:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from spheredecon.special_functions import JacobiParams, adaptive_quadrature, jacobi_all
+
 from spheredecon.filters import (
     CapProfile,
     LunarProfile,
@@ -24,6 +26,7 @@ from spheredecon.filters import (
     smoothness_bound,
 )
 
+S2 = JacobiParams.sphere(2)
 THETA_41 = 2 * math.pi / 41
 KOG_CONST = (3**0.75 / 2) * math.sqrt(math.sin(THETA_41))
 
@@ -62,6 +65,19 @@ class TestQuadratureMultipliers:
         quadr = multipliers_from_profile(CapProfile(0.7), m_max=50, tol=1e-10)
         np.testing.assert_allclose(quadr.b, closed.b, atol=1e-8)
         assert quadr.provenance == "quadrature"
+
+    def test_lunar_matches_per_degree_oracle(self):
+        profile = LunarProfile(1737.1, 30.0)
+        tol = 1e-10
+        filt = multipliers_from_profile(profile, m_max=200, tol=tol)
+        for m in (0, 1, 50, 200):
+            def integrand(r, m=m):
+                return profile.evaluate(r) * jacobi_all(m, S2, np.cos(r))[m] * np.sin(r) / 2
+
+            oracle = adaptive_quadrature(
+                integrand, 0.0, math.pi, tol=tol / 100, base_panels=max(8, 4 * m)
+            )
+            assert abs(filt.b[m] - oracle) <= tol
 
     def test_constant_profile_orthogonality(self):
         ones = TabulatedProfile(np.linspace(0, math.pi, 33), np.ones(33))

@@ -178,3 +178,25 @@ class TestAdaptiveQuadrature:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             adaptive_quadrature(lambda x: x, 0, 1, tol=0.0)
+
+    def test_vector_integrand_matches_scalar_calls(self):
+        parts = [
+            lambda x: np.cos(40 * x) * np.exp(-x),
+            lambda x: 3 * x**2,
+            lambda x: radial_density(x, S2),
+        ]
+        vec = adaptive_quadrature(
+            lambda x: np.stack([f(x) for f in parts]), 0.0, math.pi, tol=1e-12, base_panels=16
+        )
+        assert isinstance(vec, np.ndarray) and vec.shape == (3,)
+        for f, v in zip(parts, vec):
+            scalar = adaptive_quadrature(f, 0.0, math.pi, tol=1e-12, base_panels=16)
+            assert isinstance(scalar, float)
+            assert v == pytest.approx(scalar, abs=1e-12)
+
+    def test_vector_integrand_raises_when_one_component_diverges(self):
+        spike = lambda x: 1.0 / np.sqrt(np.abs(x - 0.31234567) + 1e-300)
+        with pytest.raises(QuadratureError):
+            adaptive_quadrature(
+                lambda x: np.stack([x**2, spike(x)]), 0.0, 1.0, tol=1e-14, max_panels=64
+            )

@@ -278,12 +278,6 @@ class TestMzFamily:
         with pytest.raises(ValueError):
             MzFamily(nodes=nodes, weights=np.array([0.5, 0.4]))
 
-    def test_certified_copy(self):
-        fam = pick_nodes(build_partition(64))
-        cert = fam.certified(3, 0.8, 1.2)
-        assert cert.degree == 3 and fam.degree is None
-        assert cert.frame_lower == 0.8 and cert.frame_upper == 1.2
-
 
 class TestExports:
     def test_nodes_csv_format(self, tmp_path):
