@@ -26,7 +26,8 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_json(path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a NaN or infinity raises ValueError and nothing is written."""
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def format_float(x: float) -> str:

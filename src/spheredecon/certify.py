@@ -3,11 +3,16 @@
 A sampling family is Marcinkiewicz-Zygmund for degree m when the weighted
 sum of squared samples of every polynomial of degree <= m stays between
 A ||q||^2 and B ||q||^2 with 0 < A <= 1 <= B.  Those extreme ratios are the
-extreme squared singular values of the weighted sampling matrix, measured
-here exactly.  From epsilon = max(1-A, B-1), the multiplier decay fit, the
-smoothness exponents and the noise level, ``bound_apriori`` assembles the
-two-term upper bound on the reconstruction error, and ``verify_bound``
-compares it against measured errors on synthetic runs.
+extreme eigenvalues of the Gram matrix G = B_w^T B_w of the weighted sampling
+matrix B_w, measured here by a dense eigensolve of G.  The reported A and B
+are widened by delta = eps * (N trace G + (m+1)^2 lambda_max), eps the
+machine epsilon: delta bounds the rounding error of forming G and of the
+eigensolve (Weyl's inequality), so [A, B] encloses the extreme squared
+singular values of B_w and epsilon never understates them.  From
+epsilon = max(1-A, B-1), the multiplier decay fit, the smoothness exponents
+and the noise level, ``bound_apriori`` assembles the two-term upper bound on
+the reconstruction error, and ``verify_bound`` compares it against measured
+errors on synthetic runs.
 """
 
 from __future__ import annotations
@@ -20,14 +25,9 @@ import numpy as np
 
 from .filters import MultiplierFilter
 from .forward import apply_multiplier
-from .harmonics import CoefficientVector, basis_matrix, embed, num_coeffs, sobolev_norm
-from .sphere_geometry import (
-    EqualAreaPartition,
-    MzFamily,
-    build_partition,
-    nodes_to_arrays,
-    pick_nodes,
-)
+from .harmonics import CoefficientVector, embed, num_coeffs, sobolev_norm
+from .reconstruct import _weighted_basis
+from .sphere_geometry import EqualAreaPartition, MzFamily, build_partition, pick_nodes
 
 __all__ = [
     "MzConstants",
@@ -56,10 +56,12 @@ class MzConstants:
 
 
 def mz_constants(fam: MzFamily, m: int) -> MzConstants:
-    """Extreme squared singular values of [sqrt(tau_j) Y_k(x_j)], degrees <= m.
+    """Extreme eigenvalues of the Gram matrix of [sqrt(tau_j) Y_k(x_j)], degrees <= m.
 
     The sampled energy ratio sum_j tau_j |q(x_j)|^2 / ||q||_2^2 ranges exactly
-    over [A, B] as q runs over the nonzero polynomials of degree <= m.
+    over [A, B] as q runs over the nonzero polynomials of degree <= m; the
+    reported A and B enclose the computed range by the rounding margin delta
+    of the module docstring.
     """
     if m < 0:
         raise ValueError("degree must be >= 0")
@@ -68,10 +70,10 @@ def mz_constants(fam: MzFamily, m: int) -> MzConstants:
         raise ValueError(
             f"need at least {dim} nodes to certify degree {m}, got {len(fam.nodes)}"
         )
-    thetas, phis = nodes_to_arrays(fam.nodes)
-    mat = basis_matrix(m, thetas, phis) * np.sqrt(fam.weights)[:, None]
-    sv = np.linalg.svd(mat, compute_uv=False)
-    a, b = float(sv[-1] ** 2), float(sv[0] ** 2)
+    _, gram = _weighted_basis(fam, m)
+    lam = np.linalg.eigvalsh(gram)
+    delta = np.finfo(float).eps * (len(fam.nodes) * np.trace(gram) + dim * lam[-1])
+    a, b = float(lam[0] - delta), float(lam[-1] + delta)
     return MzConstants(
         A=a, B=b, epsilon=max(1.0 - a, b - 1.0), degree=m, node_count=len(fam.nodes)
     )
@@ -165,8 +167,6 @@ class Certificate:
     a positive lower fit with zeta >= gamma) bounds ||f - p||_2.
     """
 
-    d: int
-    d0: int
     omega: float
     gamma: float
     sigma: float
@@ -199,16 +199,16 @@ def bound_apriori(
     c: Optional[float] = None,
     c0: Optional[float] = None,
     fit_m_max: Optional[int] = None,
-    d: int = 2,
-    d0: int = 2,
 ) -> Certificate:
     """Assemble the two-term certificate for degree m and noise level beta.
 
-    term_approx = sqrt((1+kappa)(d/d0)/(sigma-zeta-d/2)) * ||Ff||_{H^sigma}
-                  * (1+lambda_m^2)^{-(sigma-zeta)/2 + d/4}
+    term_approx = sqrt((1+kappa)/(sigma-zeta-1)) * ||Ff||_{H^sigma}
+                  * (1+lambda_m^2)^{-(sigma-zeta)/2 + 1/2}
     term_noise  = sqrt(kappa) * beta * (1+lambda_m^2)^{zeta/2}
 
-    with kappa = (1+epsilon)/(1-epsilon).  ||Ff||_{H^sigma} is taken exactly
+    with kappa = (1+epsilon)/(1-epsilon) and lambda_m^2 = m(m+1), the
+    Laplacian eigenvalue of S^2 (dimension d = 2, the only manifold the
+    basis and the partition cover).  ||Ff||_{H^sigma} is taken exactly
     when given, otherwise through the operator route c * ||f||_{H^omega}.
     """
     if m < 0:
@@ -218,10 +218,8 @@ def bound_apriori(
     if min(omega, gamma, zeta) < 0:
         raise ValueError("hypothesis violated: omega, gamma, zeta >= 0")
     sigma = omega + gamma
-    if not sigma - zeta > d / 2:
-        raise ValueError(
-            f"hypothesis violated: sigma - zeta > d/2 (got {sigma - zeta} <= {d / 2})"
-        )
+    if not sigma - zeta > 1:
+        raise ValueError(f"hypothesis violated: sigma - zeta > d/2 = 1 (got {sigma - zeta})")
     if not 0 <= epsilon < 1:
         raise ValueError(f"hypothesis violated: 0 <= epsilon < 1 (got {epsilon})")
     if norm_f_sigma is not None:
@@ -232,11 +230,11 @@ def bound_apriori(
     else:
         raise ValueError("need norm_f_sigma, or c together with norm_f_omega")
     kappa = (1.0 + epsilon) / (1.0 - epsilon)
-    lam = 1.0 + m * (m + d - 1.0)
+    lam = 1.0 + m * (m + 1.0)
     term_approx = (
-        math.sqrt((1.0 + kappa) * (d / d0) / (sigma - zeta - d / 2.0))
+        math.sqrt((1.0 + kappa) / (sigma - zeta - 1.0))
         * norm_f_sigma
-        * lam ** (-(sigma - zeta) / 2.0 + d / 4.0)
+        * lam ** (-(sigma - zeta) / 2.0 + 0.5)
     )
     term_noise = math.sqrt(kappa) * beta * lam ** (zeta / 2.0)
     bound_hzeta = term_approx + term_noise
@@ -245,8 +243,6 @@ def bound_apriori(
         bound_l2 = bound_hzeta / c0
     range_limited = fit_m_max is not None and m > fit_m_max
     return Certificate(
-        d=d,
-        d0=d0,
         omega=omega,
         gamma=gamma,
         sigma=sigma,
@@ -268,11 +264,11 @@ def bound_apriori(
     )
 
 
-def choose_degree(beta: float, omega: float, gamma: float, d: int = 2) -> int:
-    """Degree balancing the two certificate terms: ceil(beta^{-1/(omega+gamma-d/2)})."""
-    expo = omega + gamma - d / 2.0
+def choose_degree(beta: float, omega: float, gamma: float) -> int:
+    """Degree balancing the two certificate terms: ceil(beta^{-1/(omega+gamma-1)})."""
+    expo = omega + gamma - 1.0
     if expo <= 0:
-        raise ValueError(f"need omega + gamma - d/2 > 0, got {expo}")
+        raise ValueError(f"need omega + gamma - d/2 > 0 (d = 2), got {expo}")
     if beta <= 0:
         raise ValueError("beta must be positive")
     v = beta ** (-1.0 / expo)
@@ -280,11 +276,11 @@ def choose_degree(beta: float, omega: float, gamma: float, d: int = 2) -> int:
     return max(1, math.ceil(v - 1e-12 * max(1.0, v)))
 
 
-def predicted_rate_exponent(omega: float, gamma: float, zeta: float = 0.0, d: int = 2) -> float:
-    """Exponent of the noise level in the balanced-degree error: 1 - zeta/(omega+gamma-d/2)."""
-    expo = omega + gamma - d / 2.0
+def predicted_rate_exponent(omega: float, gamma: float, zeta: float = 0.0) -> float:
+    """Exponent of the noise level in the balanced-degree error: 1 - zeta/(omega+gamma-1)."""
+    expo = omega + gamma - 1.0
     if expo <= 0:
-        raise ValueError(f"need omega + gamma - d/2 > 0, got {expo}")
+        raise ValueError(f"need omega + gamma - d/2 > 0 (d = 2), got {expo}")
     return 1.0 - zeta / expo
 
 
@@ -335,8 +331,6 @@ def certificate_to_json(
     cert: Certificate, verification: Optional[VerificationReport] = None
 ) -> dict:
     obj = {
-        "d": cert.d,
-        "d0": cert.d0,
         "omega": cert.omega,
         "gamma": cert.gamma,
         "sigma": cert.sigma,

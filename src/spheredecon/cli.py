@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -68,6 +69,17 @@ def _merge_config(args: argparse.Namespace) -> None:
             setattr(args, key, value)
 
 
+def _float(value, name: str) -> float:
+    """A float parameter from a flag or the config; CliError unless finite."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise CliError(f"--{name.replace('_', '-')} must be a finite number, got {value!r}")
+    return x
+
+
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
@@ -120,37 +132,37 @@ def _cmd_nodes(args) -> int:
 def _make_filter(args) -> filt_mod.MultiplierFilter:
     kind = args.kind
     m_max = int(args.m_max)
-    tol = float(args.tol) if args.tol is not None else 1e-10
+    tol = _float(args.tol, "tol") if args.tol is not None else 1e-10
     if kind == "identity":
         filt = filt_mod.identity_multipliers(m_max)
     elif kind == "cap":
         _require(args, "theta0")
         if args.quadrature:
             filt = filt_mod.multipliers_from_profile(
-                filt_mod.CapProfile(float(args.theta0)), m_max=m_max, tol=tol
+                filt_mod.CapProfile(_float(args.theta0, "theta0")), m_max=m_max, tol=tol
             )
         else:
-            filt = filt_mod.cap_multipliers(float(args.theta0), m_max)
+            filt = filt_mod.cap_multipliers(_float(args.theta0, "theta0"), m_max)
     elif kind == "planck":
         _require(args, "lam0", "radius")
         filt = filt_mod.multipliers_from_profile(
-            filt_mod.PlanckProfile(float(args.lam0), float(args.radius)),
+            filt_mod.PlanckProfile(_float(args.lam0, "lam0"), _float(args.radius, "radius")),
             m_max=m_max,
             tol=tol,
         )
     elif kind == "lunar":
         _require(args, "radius", "altitude")
         filt = filt_mod.multipliers_from_profile(
-            filt_mod.LunarProfile(float(args.radius), float(args.altitude)),
+            filt_mod.LunarProfile(_float(args.radius, "radius"), _float(args.altitude, "altitude")),
             m_max=m_max,
             tol=tol,
         )
     else:
         raise CliError(f"unknown filter kind {kind!r}")
     if args.gamma is not None:
-        filt_mod.fit_decay(filt, float(args.gamma))
+        filt_mod.fit_decay(filt, _float(args.gamma, "gamma"))
     if args.zeta is not None:
-        filt_mod.fit_lower(filt, float(args.zeta))
+        filt_mod.fit_lower(filt, _float(args.zeta, "zeta"))
     return filt
 
 
@@ -167,7 +179,7 @@ def _get_truth(args) -> CoefficientVector:
     _require(args, "truth_m_max", "truth_sigma", "truth_seed")
     return random_poly(
         int(args.truth_m_max),
-        float(args.truth_sigma),
+        _float(args.truth_sigma, "truth_sigma"),
         int(args.truth_seed),
         unit_norm=bool(args.truth_unit_norm),
     )
@@ -175,7 +187,7 @@ def _get_truth(args) -> CoefficientVector:
 
 def _cmd_simulate(args) -> int:
     _require(args, "filter", "n", "beta", "out")
-    beta = float(args.beta)
+    beta = _float(args.beta, "beta")
     if beta > 0 and args.seed is None:
         raise CliError("--seed is required when beta > 0")
     filt = _load_filter(args.filter)
@@ -200,11 +212,15 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_certify(args) -> int:
     _require(args, "filter", "n", "m", "omega", "beta", "out")
-    filt = _load_filter(args.filter)
     m = int(args.m)
-    zeta = float(args.zeta) if args.zeta is not None else 0.0
+    beta, omega = _float(args.beta, "beta"), _float(args.omega, "omega")
+    zeta = _float(args.zeta, "zeta") if args.zeta is not None else 0.0
+    norm_f_sigma = None
+    if args.norm_f_sigma is not None:
+        norm_f_sigma = _float(args.norm_f_sigma, "norm_f_sigma")
+    filt = _load_filter(args.filter)
     if args.gamma is not None:
-        gamma = float(args.gamma)
+        gamma = _float(args.gamma, "gamma")
     elif filt.decay_fit is not None:
         gamma = filt.decay_fit.gamma
     else:
@@ -214,18 +230,18 @@ def _cmd_certify(args) -> int:
     fam = _build_family(int(args.n), args.rule or "area_center", args.node_seed)
     const = cert_mod.mz_constants(fam, m)
     truth = _load_coeffs(args.truth) if args.truth else None
-    if args.norm_f_sigma is not None:
-        norm_kw = {"norm_f_sigma": float(args.norm_f_sigma)}
+    if norm_f_sigma is not None:
+        norm_kw = {"norm_f_sigma": norm_f_sigma}
     elif truth is not None:
-        sigma = float(args.omega) + gamma
+        sigma = omega + gamma
         norm_kw = {"norm_f_sigma": sobolev_norm(apply_multiplier(filt, truth), sigma)}
     else:
         raise CliError("need --norm-f-sigma or --truth to size the certificate")
     certificate = cert_mod.bound_apriori(
         m=m,
-        beta=float(args.beta),
+        beta=beta,
         epsilon=const.epsilon,
-        omega=float(args.omega),
+        omega=omega,
         gamma=gamma,
         zeta=zeta,
         c=c,
@@ -254,7 +270,7 @@ def _cmd_verify_mz(args) -> int:
         "epsilon": const.epsilon,
         "is_mz": const.epsilon < 1.0,
     }
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         atomic_write_text(args.out, text + "\n")
     else:
@@ -325,25 +341,27 @@ _EXPERIMENT_COLUMNS = ["m", "N", "beta", "measured_L2", "measured_Hzeta",
 
 def _cmd_experiment(args) -> int:
     _require(args, "filter", "omega", "m_grid", "out")
+    omega = _float(args.omega, "omega")
     filt = _load_filter(args.filter)
     if args.gamma is not None:
-        gamma = float(args.gamma)
+        gamma = _float(args.gamma, "gamma")
     elif filt.decay_fit is not None:
         gamma = filt.decay_fit.gamma
     else:
         raise CliError("--gamma is required (filter carries no decay fit)")
-    zeta = float(args.zeta) if args.zeta is not None else 0.0
+    zeta = _float(args.zeta, "zeta") if args.zeta is not None else 0.0
     if args.truth is None and args.truth_sigma is None:
-        args.truth_sigma = float(args.omega) + gamma
+        args.truth_sigma = omega + gamma
     truth = _get_truth(args)
     if isinstance(args.m_grid, str):
         m_grid = [int(v) for v in args.m_grid.split(",")]
     else:
         m_grid = [int(v) for v in args.m_grid]
     if args.betas is not None:
-        betas = [float(v) for v in (args.betas.split(",") if isinstance(args.betas, str) else args.betas)]
+        values = args.betas.split(",") if isinstance(args.betas, str) else args.betas
+        betas = [_float(v, "betas") for v in values]
     else:
-        betas = [float(args.beta) if args.beta is not None else 0.0]
+        betas = [_float(args.beta, "beta") if args.beta is not None else 0.0]
     if any(b > 0 for b in betas) and args.seed is None:
         raise CliError("--seed is required when any beta > 0")
     rows = []
@@ -354,7 +372,7 @@ def _cmd_experiment(args) -> int:
                 run_experiment_row(
                     filt,
                     truth,
-                    float(args.omega),
+                    omega,
                     gamma,
                     zeta,
                     m,

@@ -145,7 +145,10 @@ def read_measurements_csv(path, sidecar_path=None) -> MeasurementSet:
             fields = line.split(",")
             if len(fields) != 4:
                 raise ValueError(f"{path}: line {lineno} has {len(fields)} fields, expected 4")
-            rows.append([float(v) for v in fields])
+            row = [float(v) for v in fields]
+            if not all(math.isfinite(v) for v in row):
+                raise ValueError(f"{path}: line {lineno} holds a non-finite value")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no measurement rows")
     data = np.asarray(rows, dtype=float)

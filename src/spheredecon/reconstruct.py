@@ -1,11 +1,23 @@
-"""Weighted least-squares reconstruction through the SVD pseudoinverse.
+"""Weighted least-squares reconstruction from the Gram matrix of the samples.
 
 The estimator minimizes sum_j |y_j - (Fp)(x_j)|^2 tau_j over diffusion
-polynomials p of degree <= m.  Only degrees with b_m != 0 enter the design
-matrix (the filter annihilates the rest); their coefficients are returned as
-zero, which makes the solution the minimum-norm minimizer.  Row scaling by
-sqrt(tau_j) keeps the conditioning of the weighted problem instead of
-squaring it through normal equations.
+polynomials p of degree <= m.  Only degrees with b_m != 0 enter (the filter
+annihilates the rest); their coefficients are returned as zero, which makes
+the solution the minimum-norm minimizer.
+
+F is diagonal in the harmonic basis, so the filtered fit is the fit d of the
+*unfiltered* weighted system B_w d ~ sqrt(tau) y on the active degrees,
+followed by c = d / b.  Its normal equations G d = B_w^T sqrt(tau) y, with
+G = B_w^T B_w of size (m+1)^2, are safe because G does not see the filter:
+cond G <= (1+eps)/(1-eps) for an MZ family, far from squaring the
+ill-conditioning that the multipliers add.  The singular values of the
+filtered matrix come from eigenvalues of D G D (large ones) and of
+D^{-1} G^{-1} D^{-1} (small ones), D = diag(b), each where it is accurate.
+
+The SVD pseudoinverse of the filtered matrix, with relative cutoff 1e-12,
+runs instead when G is singular to half the working precision or when the
+multipliers spread so widely that the cutoff could drop a direction; only
+then can its minimum-norm answer differ from d / b.
 """
 
 from __future__ import annotations
@@ -21,6 +33,9 @@ from .sphere_geometry import MzFamily, nodes_to_arrays
 __all__ = ["LsqReport", "design_matrix", "lsq_solve", "reconstruct_direct", "solution_to_json"]
 
 _SVD_RCOND = 1e-12
+# The normal equations lose about eps * cond G: beyond 1/sqrt(eps) they would
+# keep fewer than half the digits.
+_GRAM_RCOND = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -47,13 +62,16 @@ def active_degrees(filt: MultiplierFilter, m: int) -> tuple:
     return tuple(int(d) for d in range(m + 1) if filt.b[d] != 0.0)
 
 
-def design_matrix(filt: MultiplierFilter, fam: MzFamily, m: int):
-    """Weighted sampling matrix of the filtered basis.
+def _weighted_basis(fam: MzFamily, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """B_w = [sqrt(tau_j) Y_k(x_j)] for degrees <= m and its Gram matrix B_w^T B_w."""
+    thetas, phis = nodes_to_arrays(fam.nodes)
+    bw = basis_matrix(m, thetas, phis)
+    bw *= np.sqrt(fam.weights)[:, None]
+    return bw, bw.T @ bw
 
-    Rows are nodes, columns the basis functions of active degrees; the entry
-    is sqrt(tau_j) * b_{m'} * Y_{m'}^ell(x_j).  Returns (matrix, column
-    indices into the full degree-major layout).
-    """
+
+def _active_columns(filt: MultiplierFilter, fam: MzFamily, m: int):
+    """Column indices of the active degrees and the multiplier of each column."""
     if m < 0:
         raise ValueError("degree must be >= 0")
     if filt.m_max < m:
@@ -63,12 +81,21 @@ def design_matrix(filt: MultiplierFilter, fam: MzFamily, m: int):
     act = active_degrees(filt, m)
     if not act:
         raise ValueError("all multipliers vanish up to the requested degree")
-    thetas, phis = nodes_to_arrays(fam.nodes)
-    basis = basis_matrix(m, thetas, phis)
     cols = np.concatenate([np.arange(d * d, (d + 1) * (d + 1)) for d in act])
     scale = np.concatenate([np.full(2 * d + 1, filt.b[d]) for d in act])
-    mat = basis[:, cols] * scale[None, :] * np.sqrt(fam.weights)[:, None]
-    return mat, cols
+    return cols, scale
+
+
+def design_matrix(filt: MultiplierFilter, fam: MzFamily, m: int):
+    """Weighted sampling matrix of the filtered basis.
+
+    Rows are nodes, columns the basis functions of active degrees; the entry
+    is sqrt(tau_j) * b_{m'} * Y_{m'}^ell(x_j).  Returns (matrix, column
+    indices into the full degree-major layout).
+    """
+    cols, scale = _active_columns(filt, fam, m)
+    bw, _ = _weighted_basis(fam, m)
+    return bw[:, cols] * scale[None, :], cols
 
 
 def lsq_solve(
@@ -76,35 +103,61 @@ def lsq_solve(
 ) -> LsqReport:
     """Minimum-norm weighted least squares for the degree-m hypothesis space.
 
-    SVD with relative cutoff 1e-12 * sigma_max; rank deficiency is flagged
-    (the family is then not Marcinkiewicz-Zygmund for this filter and degree)
-    and the minimum-norm solution is still returned.
+    Solved through the normal equations of the unfiltered system on the
+    active degrees, or, where those cannot stand for the SVD with relative
+    cutoff 1e-12 (see the module docstring), through that SVD.  Rank
+    deficiency is flagged (the family is then not Marcinkiewicz-Zygmund for
+    this filter and degree) and the minimum-norm solution is still returned.
     """
     y = np.asarray(y, dtype=float)
     if y.size != len(fam.nodes):
         raise ValueError("y must have one entry per node")
-    mat, cols = design_matrix(filt, fam, m)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite")
+    cols, scale = _active_columns(filt, fam, m)
+    bw, gram = _weighted_basis(fam, m)
+    gram = gram[np.ix_(cols, cols)]
     ytil = y * np.sqrt(fam.weights)
-    u, sv, vt = np.linalg.svd(mat, full_matrices=False)
-    cutoff = _SVD_RCOND * sv[0] if sv[0] > 0 else 0.0
-    kept = sv > cutoff
-    rank = int(kept.sum())
-    inv = np.zeros_like(sv)
-    inv[kept] = 1.0 / sv[kept]
-    active_sol = vt.T @ (inv * (u.T @ ytil))
+    lam = np.linalg.eigvalsh(gram)
+    spread = np.max(np.abs(scale)) / np.min(np.abs(scale))
     coeffs = np.zeros(num_coeffs(m))
-    coeffs[cols] = active_sol
+    if lam[0] > _GRAM_RCOND * lam[-1] and np.sqrt(lam[0] / lam[-1]) > _SVD_RCOND * spread:
+        d = np.zeros(num_coeffs(m))
+        d[cols] = np.linalg.solve(gram, (bw.T @ ytil)[cols])
+        coeffs[cols] = d[cols] / scale
+        residual = float(np.linalg.norm(bw @ d - ytil))
+        # sigma^2 are the eigenvalues of D G D; its eigensolver resolves them
+        # to eps * sigma_max^2 only, so the small ones are taken as inverse
+        # eigenvalues of D^{-1} G^{-1} D^{-1}, resolved to eps / sigma_min^2.
+        big = np.linalg.eigvalsh(scale[:, None] * gram * scale[None, :])
+        inv_scale = 1.0 / scale
+        small = 1.0 / np.linalg.eigvalsh(
+            inv_scale[:, None] * np.linalg.inv(gram) * inv_scale[None, :]
+        )[::-1]
+        sq = np.where(big >= np.sqrt(big[-1] * small[0]), big, small)
+        sv = np.sqrt(sq[::-1])
+        rank = cols.size
+    else:
+        mat = bw[:, cols] * scale[None, :]
+        u, sv, vt = np.linalg.svd(mat, full_matrices=False)
+        cutoff = _SVD_RCOND * sv[0] if sv[0] > 0 else 0.0
+        kept = sv > cutoff
+        rank = int(kept.sum())
+        inv = np.zeros_like(sv)
+        inv[kept] = 1.0 / sv[kept]
+        active_sol = vt.T @ (inv * (u.T @ ytil))
+        coeffs[cols] = active_sol
+        residual = float(np.linalg.norm(mat @ active_sol - ytil))
     solution = CoefficientVector(m, coeffs)
-    residual = float(np.linalg.norm(mat @ active_sol - ytil))
-    full_rank = rank == mat.shape[1]
+    full_rank = rank == cols.size
     frame_lower = float(sv[-1] ** 2)
     frame_upper = float(sv[0] ** 2)
     if full_rank and frame_lower > 0:
         # Lemma-type stability: ||solution||_2 <= A^{-1/2} ||y||_tau; a
-        # violation beyond rounding means the pseudoinverse is broken.
+        # violation beyond rounding means the solve is broken.
         bound = float(np.linalg.norm(ytil)) / np.sqrt(frame_lower)
         if solution.l2_norm() > bound * (1.0 + 1e-9) + 1e-300:
-            raise RuntimeError("pseudoinverse stability bound violated")
+            raise RuntimeError("least-squares stability bound violated")
     return LsqReport(
         solution=solution,
         residual=residual,

@@ -11,7 +11,6 @@ Marcinkiewicz-Zygmund family with weights 1/N.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -365,6 +364,6 @@ def partition_to_json(p: EqualAreaPartition) -> dict:
 
 
 def write_partition_json(path, p: EqualAreaPartition) -> None:
-    from .artifacts import atomic_write_text
+    from .artifacts import write_json
 
-    atomic_write_text(path, json.dumps(partition_to_json(p), indent=2, sort_keys=True) + "\n")
+    write_json(path, partition_to_json(p))

@@ -268,7 +268,7 @@ class TestVerifyBound:
                              zeta=0.0, norm_f_sigma=1.0)
         obj = certificate_to_json(cert)
         expected_keys = {
-            "d", "d0", "omega", "gamma", "sigma", "zeta", "m", "beta", "epsilon",
+            "omega", "gamma", "sigma", "zeta", "m", "beta", "epsilon",
             "kappa", "norm_f_sigma", "norm_route", "c", "c0", "fit_m_max",
             "range_limited", "term_approx", "term_noise", "bound_Hzeta",
             "bound_L2", "verification",

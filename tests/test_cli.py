@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from spheredecon import cli
+from spheredecon.artifacts import write_json
 from spheredecon.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -201,23 +202,67 @@ class TestConfigKeys:
 
 class TestMalformedMeasurements:
     @pytest.mark.parametrize(
-        "body", ["theta,phi,weight,y\n", "theta,phi,weight,y\n0.5,1.0,1.0\n"],
-        ids=["header_only", "short_row"],
+        "body, where",
+        [
+            ("theta,phi,weight,y\n", "no measurement rows"),
+            ("theta,phi,weight,y\n0.5,1.0,1.0\n", "line 2"),
+            ("theta,phi,weight,y\n0.5,1.0,0.5,1.0\n1.0,2.0,0.5,nan\n", "line 3"),
+            ("theta,phi,weight,y\n0.5,1.0,inf,1.0\n", "line 2"),
+        ],
+        ids=["header_only", "short_row", "nan_y", "inf_weight"],
     )
-    def test_reconstruct_reports_json_error(self, body, tmp_path, capsys):
+    def test_reconstruct_reports_json_error(self, body, where, tmp_path, capsys):
         filt = tmp_path / "f.json"
         run(["filter", "--kind", "identity", "--m-max", 2, "--out", filt], capsys)
         meas = tmp_path / "meas.csv"
         meas.write_text(body)
+        sol = tmp_path / "sol.json"
         code, _, err = run(
             ["reconstruct", "--filter", filt, "--measurements", meas, "--m", 1,
-             "--out", tmp_path / "sol.json"],
+             "--out", sol],
             capsys,
         )
         assert code == 1
         error = json.loads(err)
         assert error["type"] == "ValueError"
-        assert str(meas) in error["error"]
+        assert str(meas) in error["error"] and where in error["error"]
+        assert not sol.exists()
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_write_json_refuses_non_finite(self, value, tmp_path):
+        out = tmp_path / "x.json"
+        with pytest.raises(ValueError):
+            write_json(out, {"residual": value})
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestNonFiniteFloats:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("name", ["norm_f_sigma", "beta", "omega"])
+    def test_certify_rejects(self, name, source, value, tmp_path, capsys):
+        filt = tmp_path / "f.json"
+        run(["filter", "--kind", "identity", "--m-max", 4, "--out", filt], capsys)
+        params = {"filter": str(filt), "n": 100, "m": 2, "omega": 2.0, "gamma": 0.0,
+                  "beta": 0.01, "norm_f_sigma": 1.0, "out": str(tmp_path / "cert.json")}
+        if source == "flag":
+            params[name] = value
+            argv = ["certify"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({name: float(value)}))
+            del params[name]
+            argv = ["certify", "--config", cfg]
+        for key, v in params.items():
+            argv += [f"--{key.replace('_', '-')}", v]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        error = json.loads(err)
+        assert error["type"] == "config"
+        assert f"--{name.replace('_', '-')}" in error["error"] and "finite" in error["error"]
+        assert not (tmp_path / "cert.json").exists()
 
 
 class TestRoundTrip:

@@ -1,9 +1,11 @@
-"""Design matrix assembly and the SVD least-squares solver."""
+"""Design matrix assembly and the least-squares solver, against an SVD oracle."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheredecon.filters import MultiplierFilter, cap_multipliers, identity_multipliers
 from spheredecon.forward import add_noise, sample_at, simulate
@@ -19,9 +21,41 @@ from spheredecon.reconstruct import (
     reconstruct_direct,
     solution_to_json,
 )
+from spheredecon.certify import mz_constants
 from spheredecon.sphere_geometry import build_partition, pick_nodes
 
 THETA_41 = 2 * math.pi / 41
+
+
+def svd_oracle(filt, fam, m, y):
+    """Truncated-SVD pseudoinverse of the filtered design matrix (cutoff 1e-12).
+
+    Returns the minimum-norm coefficients, all singular values and the rank.
+    """
+    mat, cols = design_matrix(filt, fam, m)
+    u, sv, vt = np.linalg.svd(mat, full_matrices=False)
+    kept = sv > 1e-12 * sv[0]
+    coeffs = np.zeros(num_coeffs(m))
+    ytil = np.asarray(y) * np.sqrt(fam.weights)
+    coeffs[cols] = vt[kept].T @ ((u[:, kept].T @ ytil) / sv[kept])
+    return coeffs, sv, int(kept.sum())
+
+
+def count_svd_calls(monkeypatch):
+    """Record every numpy.linalg.svd call made from now on."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def rel_diff(got, want):
+    return np.linalg.norm(np.asarray(got) - want) / np.linalg.norm(want)
 
 
 @pytest.fixture(scope="module")
@@ -158,10 +192,101 @@ class TestLsqSolve:
         report = reconstruct_direct(fam, 6, y)
         assert not report.full_rank
         assert report.rank < num_coeffs(6)
+        coeffs, sv, rank = svd_oracle(identity_multipliers(6), fam, 6, y)
+        assert report.rank == rank
+        assert rel_diff(report.solution.coeffs, coeffs) <= 1e-12
 
     def test_wrong_length_rejected(self, family):
         with pytest.raises(ValueError):
             lsq_solve(identity_multipliers(2), family, 2, np.ones(7))
+
+
+@st.composite
+def solve_cases(draw):
+    """(filter, family, m, y): m <= 12, (m+1)^2 <= N <= 4 (m+1)^2 (N >= 50).
+
+    The caps stay inside their first lobe (m theta0 < 3.2) and the random
+    multipliers within three decades, so that cond(B_w D) and with it the
+    oracle's own rounding error stay far below the tolerances.
+    """
+    m = draw(st.integers(0, 12))
+    k = num_coeffs(m)
+    n = draw(st.integers(max(50, k), max(50, 4 * k)))
+    rule = draw(st.sampled_from(["area_center", "random_in_region"]))
+    fam = pick_nodes(build_partition(n), rule=rule, seed=draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["identity", "cap", "random"]))
+    if kind == "identity":
+        filt = identity_multipliers(m)
+    elif kind == "cap":
+        filt = cap_multipliers(draw(st.floats(0.05, 0.25)), m)
+    else:
+        b = draw(st.lists(st.floats(1e-3, 1.0), min_size=m + 1, max_size=m + 1))
+        filt = MultiplierFilter(np.array(b))
+    y = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal(n)
+    return filt, fam, m, y
+
+
+class TestGramSolveAgainstSvd:
+    @settings(max_examples=60, deadline=None)
+    @given(case=solve_cases())
+    def test_matches_oracle(self, case):
+        filt, fam, m, y = case
+        coeffs, sv, rank = svd_oracle(filt, fam, m, y)
+        unfiltered = np.linalg.svd(design_matrix(identity_multipliers(m), fam, m)[0],
+                                   compute_uv=False)
+        eps_svd = max(1 - unfiltered[-1] ** 2, unfiltered[0] ** 2 - 1)
+        cond_g = (unfiltered[0] / unfiltered[-1]) ** 2 if unfiltered[-1] > 0 else math.inf
+        tol = 1e-10 if eps_svd <= 0.99 else 1e-14 * cond_g
+        report = lsq_solve(filt, fam, m, y)
+        assert report.rank == rank and report.full_rank == (rank == sv.size)
+        assert rel_diff(report.solution.coeffs, coeffs) <= tol
+        assert report.singular_values[0] == pytest.approx(sv[0], rel=tol)
+        assert report.singular_values[-1] == pytest.approx(sv[-1], rel=tol)
+        eps = mz_constants(fam, m).epsilon
+        assert eps_svd <= eps < eps_svd + 1e-8
+
+    def test_no_svd_on_an_mz_family(self, family, monkeypatch):
+        calls = count_svd_calls(monkeypatch)
+        mz_constants(family, 5)
+        lsq_solve(cap_multipliers(THETA_41, 5), family, 5, np.ones(200))
+        assert calls == []
+
+    def test_inactive_middle_degree(self, family, monkeypatch):
+        filt = MultiplierFilter(np.array([1.0, 0.0, 1.0, 0.5, 0.25]))
+        y = np.random.default_rng(20).standard_normal(200)
+        coeffs, sv, rank = svd_oracle(filt, family, 4, y)
+        calls = count_svd_calls(monkeypatch)
+        report = lsq_solve(filt, family, 4, y)
+        assert calls == []
+        assert report.active_degrees == (0, 2, 3, 4)
+        assert np.all(report.solution.coeffs[1:4] == 0.0)
+        assert rel_diff(report.solution.coeffs, coeffs) <= 1e-12
+        assert report.singular_values.size == sv.size == 22
+        np.testing.assert_allclose(report.singular_values, sv, rtol=1e-12)
+
+    def test_wide_multiplier_spread_takes_svd_path(self, family, monkeypatch):
+        filt = MultiplierFilter(np.array([1.0, 1.0, 1e-13, 1.0]))
+        y = np.random.default_rng(21).standard_normal(200)
+        coeffs, sv, rank = svd_oracle(filt, family, 3, y)
+        calls = count_svd_calls(monkeypatch)
+        report = lsq_solve(filt, family, 3, y)
+        assert calls == [(200, 16)]
+        assert rel_diff(report.solution.coeffs, coeffs) <= 1e-12
+        assert report.rank == rank
+
+    def test_small_singular_value_under_spread_multipliers(self, family):
+        # sigma_min^2 / sigma_max^2 ~ 1e-16 is rounding noise in the eigenvalues
+        # of D G D; the solver resolves it through D^{-1} G^{-1} D^{-1}.  Oracle:
+        # Householder QR commutes with column scaling, and 1 / ||R^{-1}||_2 is
+        # the smallest singular value.
+        filt = MultiplierFilter(np.array([1.0, 1.0, 1e-8, 1.0, 1.0, 1.0]))
+        report = lsq_solve(filt, family, 5, np.ones(200))
+        mat, _ = design_matrix(filt, family, 5)
+        r = np.linalg.qr(mat, mode="r")
+        sigma_min = 1.0 / np.linalg.norm(np.linalg.inv(r), 2)
+        assert report.full_rank
+        assert report.singular_values[-1] == pytest.approx(sigma_min, rel=1e-10)
+        assert report.frame_lower == pytest.approx(sigma_min**2, rel=1e-10)
 
 
 class TestSolutionJson:
