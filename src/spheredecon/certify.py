@@ -70,7 +70,8 @@ def mz_constants(fam: MzFamily, m: int) -> MzConstants:
         raise ValueError(
             f"need at least {dim} nodes to certify degree {m}, got {len(fam.nodes)}"
         )
-    _, gram = _weighted_basis(fam, m)
+    bw = _weighted_basis(fam, m)
+    gram = bw.T @ bw
     lam = np.linalg.eigvalsh(gram)
     delta = np.finfo(float).eps * (len(fam.nodes) * np.trace(gram) + dim * lam[-1])
     a, b = float(lam[0] - delta), float(lam[-1] + delta)

@@ -205,6 +205,9 @@ class MultiplierFilter:
         self.b = np.asarray(self.b, dtype=float)
         if self.b.ndim != 1 or self.b.size == 0:
             raise ValueError("b must be a nonempty 1-d sequence")
+        bad = np.flatnonzero(~np.isfinite(self.b))
+        if bad.size:
+            raise ValueError(f"multiplier b_{bad[0]} is not finite: {self.b[bad[0]]}")
         for fit in (self.decay_fit, self.lower_fit):
             if fit is not None and fit.m_max > self.m_max:
                 raise ValueError("fit range exceeds stored degrees")

@@ -7,6 +7,12 @@ convention and the (0, 1) function is identically 1.  With this choice the
 addition theorem reads sum_ell Y_m^ell(x) Y_m^ell(y) = (2m+1) P_m(cos rho),
 and the squared l2 norm of a coefficient vector equals the squared L2 norm
 of the synthesized function.
+
+The colatitude (Legendre) factors are computed once per distinct colatitude,
+so points on a few latitude rings, such as area_center nodes, share them;
+scattered points simply form one ring each.  Synthesis is matrix-free: it
+sums the factors against the coefficients per ring and never forms the
+basis matrix.
 """
 
 from __future__ import annotations
@@ -114,25 +120,37 @@ def normalized_legendre(m_max: int, theta: np.ndarray) -> np.ndarray:
     return q
 
 
-def basis_matrix(m_max: int, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Matrix of basis values, rows = points, columns = degree-major indices."""
+def _rings(m_max: int, thetas, phis):
+    """Colatitude factors Q per distinct colatitude (ring), the ring of each
+    point, and its azimuthal factors: column m_max + k of trig holds
+    cos(k phi) for k >= 0 and sin(|k| phi) for k < 0."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    q = normalized_legendre(m_max, thetas)
-    n = thetas.size
-    out = np.empty((n, num_coeffs(m_max)))
+    rings, ring_of = np.unique(thetas, return_inverse=True)
     ks = np.arange(1, m_max + 1)
-    cos_k = np.cos(phis[:, None] * ks[None, :])
-    sin_k = np.sin(phis[:, None] * ks[None, :])
+    trig = np.empty((phis.size, 2 * m_max + 1))
+    trig[:, :m_max] = np.sin(phis[:, None] * ks[None, :])[:, ::-1]
+    trig[:, m_max] = 1.0
+    trig[:, m_max + 1 :] = np.cos(phis[:, None] * ks[None, :])
+    return normalized_legendre(m_max, rings), ring_of, trig
+
+
+def basis_matrix(m_max: int, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Matrix of basis values, rows = points, columns = degree-major indices.
+
+    Order ell = 1..2m+1 of degree m is azimuthal k = ell - 1 - m in -m..m,
+    with value sqrt(2) Q[m, |k|] sin(|k| phi) for k < 0, Q[m, 0] for k = 0
+    and sqrt(2) Q[m, k] cos(k phi) for k > 0.
+    """
+    q, ring_of, trig = _rings(m_max, thetas, phis)
+    out = np.empty((ring_of.size, num_coeffs(m_max)))
     sqrt2 = math.sqrt(2.0)
     for m in range(m_max + 1):
-        base = m * m
-        # orders ell = 1..2m+1 map to azimuthal k = ell - 1 - m in -m..m
-        for k in range(-m, 0):
-            out[:, base + k + m] = sqrt2 * q[:, m, -k] * sin_k[:, -k - 1]
-        out[:, base + m] = q[:, m, 0]
-        for k in range(1, m + 1):
-            out[:, base + k + m] = sqrt2 * q[:, m, k] * cos_k[:, k - 1]
+        factor = sqrt2 * q[:, m, np.abs(np.arange(-m, m + 1))]
+        factor[:, m] = q[:, m, 0]
+        np.multiply(
+            factor[ring_of], trig[:, m_max - m : m_max + m + 1], out=out[:, block_slice(m)]
+        )
     return out
 
 
@@ -143,8 +161,24 @@ def eval_basis(m: int, ell: int, p: SpherePoint) -> float:
 
 
 def eval_poly_many(c: CoefficientVector, thetas, phis) -> np.ndarray:
-    """Synthesis at many points."""
-    return basis_matrix(c.m_max, thetas, phis) @ c.coeffs
+    """Synthesis at many points, without forming the basis matrix.
+
+    Per ring, a[k] = sum_m Q[m, |k|] c'[m, k] with c' the coefficients laid
+    out by (degree, azimuthal order) and scaled by sqrt(2) off k = 0; each
+    point then sums a[k] times its azimuthal factor.  Only einsum is used, so
+    the values do not depend on the BLAS thread count.
+    """
+    m_max = c.m_max
+    q, ring_of, trig = _rings(m_max, thetas, phis)
+    table = np.zeros((m_max + 1, 2 * m_max + 1))
+    for m in range(m_max + 1):
+        table[m, m_max - m : m_max + m + 1] = math.sqrt(2.0) * c.block(m)
+        table[m, m_max] = c.block(m)[m]
+    # cos half: orders k = 0..m_max; sin half: orders k = m_max..1, read as |k|
+    a = np.empty((q.shape[0], 2 * m_max + 1))
+    a[:, m_max:] = np.einsum("rmk,mk->rk", q, table[:, m_max:])
+    a[:, :m_max] = np.einsum("rmk,mk->rk", q[:, :, :0:-1], table[:, :m_max])
+    return np.einsum("nk,nk->n", a[ring_of], trig)
 
 
 def eval_poly(c: CoefficientVector, p: SpherePoint) -> float:

@@ -62,12 +62,12 @@ def active_degrees(filt: MultiplierFilter, m: int) -> tuple:
     return tuple(int(d) for d in range(m + 1) if filt.b[d] != 0.0)
 
 
-def _weighted_basis(fam: MzFamily, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """B_w = [sqrt(tau_j) Y_k(x_j)] for degrees <= m and its Gram matrix B_w^T B_w."""
+def _weighted_basis(fam: MzFamily, m: int) -> np.ndarray:
+    """B_w = [sqrt(tau_j) Y_k(x_j)] for degrees <= m."""
     thetas, phis = nodes_to_arrays(fam.nodes)
     bw = basis_matrix(m, thetas, phis)
     bw *= np.sqrt(fam.weights)[:, None]
-    return bw, bw.T @ bw
+    return bw
 
 
 def _active_columns(filt: MultiplierFilter, fam: MzFamily, m: int):
@@ -94,8 +94,7 @@ def design_matrix(filt: MultiplierFilter, fam: MzFamily, m: int):
     indices into the full degree-major layout).
     """
     cols, scale = _active_columns(filt, fam, m)
-    bw, _ = _weighted_basis(fam, m)
-    return bw[:, cols] * scale[None, :], cols
+    return _weighted_basis(fam, m)[:, cols] * scale[None, :], cols
 
 
 def lsq_solve(
@@ -115,8 +114,8 @@ def lsq_solve(
     if not np.all(np.isfinite(y)):
         raise ValueError("y must be finite")
     cols, scale = _active_columns(filt, fam, m)
-    bw, gram = _weighted_basis(fam, m)
-    gram = gram[np.ix_(cols, cols)]
+    bw = _weighted_basis(fam, m)
+    gram = (bw.T @ bw)[np.ix_(cols, cols)]
     ytil = y * np.sqrt(fam.weights)
     lam = np.linalg.eigvalsh(gram)
     spread = np.max(np.abs(scale)) / np.min(np.abs(scale))

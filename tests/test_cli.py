@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -263,6 +266,45 @@ class TestNonFiniteFloats:
         assert error["type"] == "config"
         assert f"--{name.replace('_', '-')}" in error["error"] and "finite" in error["error"]
         assert not (tmp_path / "cert.json").exists()
+
+
+class TestNonFiniteFilter:
+    def test_certify_rejects_nan_multiplier(self, tmp_path, capsys):
+        filt = tmp_path / "f.json"
+        filt.write_text(json.dumps({"m_max": 4, "b": [1.0, math.nan, 0.5, 0.25, 0.1]}))
+        cert = tmp_path / "cert.json"
+        code, _, err = run(
+            ["certify", "--filter", filt, "--n", 100, "--m", 2, "--omega", 2.0,
+             "--gamma", 0.0, "--beta", 0.01, "--norm-f-sigma", 1.0, "--out", cert],
+            capsys,
+        )
+        # rejected where the filter is loaded, like any other malformed filter file
+        assert code == 2
+        error = json.loads(err)
+        assert error["type"] == "config"
+        assert str(filt) in error["error"] and "b_1" in error["error"]
+        assert not cert.exists()
+
+
+class TestBlasThreads:
+    def test_simulate_byte_identical(self, tmp_path, capsys):
+        filt = tmp_path / "f.json"
+        run(["filter", "--kind", "cap", "--theta0", THETA_41, "--m-max", 40, "--out", filt],
+            capsys)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"meas_{threads}.csv"
+            path = os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            subprocess.run(
+                [sys.executable, "-m", "spheredecon.cli", "simulate", "--filter", str(filt),
+                 "--truth-m-max", "40", "--truth-sigma", "2.0", "--truth-seed", "7",
+                 "--n", "4356", "--rule", "area_center", "--beta", "0.01", "--seed", "11",
+                 "--out", str(out)],
+                env=env, check=True,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestRoundTrip:

@@ -297,6 +297,13 @@ class TestFilterJson:
         with pytest.raises(ValueError):
             filter_from_json(obj)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_multiplier_rejected(self, bad):
+        obj = filter_to_json(identity_multipliers(4))
+        obj["b"][2] = bad
+        with pytest.raises(ValueError, match="b_2"):
+            filter_from_json(obj)
+
     def test_violated_fit_rejected(self):
         obj = filter_to_json(identity_multipliers(4))
         obj["decay_fit"] = {"c": 0.1, "gamma": 1.0, "m_max": 4}

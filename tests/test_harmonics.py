@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import lpmv
 
 from conftest import product_quadrature_grid, random_sphere_points
@@ -25,7 +28,7 @@ from spheredecon.harmonics import (
     sobolev_norm,
     zonal_kernel,
 )
-from spheredecon.sphere_geometry import SpherePoint
+from spheredecon.sphere_geometry import SpherePoint, build_partition, nodes_to_arrays, pick_nodes
 
 
 class TestLayout:
@@ -64,6 +67,96 @@ class TestNormalizedLegendre:
         # addition theorem at a single point for the top degree
         total = q[0, 200, 0] ** 2 + 2 * np.sum(q[0, 200, 1:] ** 2)
         assert total == pytest.approx(401.0, rel=1e-10)
+
+
+def _legendre_oracle(m: int, k: int, theta: float) -> float:
+    """Q[m, k] at theta from the explicit sum for the k-th derivative of P_m,
+
+    P_m^k(x) = (1-x^2)^(k/2) 2^-m
+               * sum_j (-1)^j C(m,j) C(2m-2j,m) (m-2j)!/(m-2j-k)! x^(m-2j-k),
+
+    in 300-digit arithmetic, which absorbs the cancellation of its terms.
+    """
+    with mpmath.workdps(300):
+        th = mpmath.mpf(theta)
+        x = mpmath.cos(th)
+        total = mpmath.mpf(0)
+        for j in range((m - k) // 2 + 1):
+            p = m - 2 * j
+            total += (
+                (-1) ** j
+                * mpmath.binomial(m, j)
+                * mpmath.binomial(2 * m - 2 * j, m)
+                * mpmath.factorial(p)
+                / mpmath.factorial(p - k)
+                * x ** (p - k)
+            )
+        value = total / mpmath.mpf(2) ** m * mpmath.sin(th) ** k
+        norm = mpmath.sqrt((2 * m + 1) * mpmath.factorial(m - k) / mpmath.factorial(m + k))
+        return float(value * norm)
+
+
+class TestNormalizedLegendreOracle:
+    @pytest.mark.parametrize("theta", [1e-3, 0.7, math.pi / 2, 2.9])
+    def test_against_mpmath_at_degree_256(self, theta):
+        m = 256
+        q = normalized_legendre(m, np.array([theta]))[0, m]
+        for k in (0, 1, m // 2, m - 1, m):
+            assert abs(q[k] - _legendre_oracle(m, k, theta)) <= 1e-12 * math.sqrt(2 * m + 1)
+
+
+def _ring_family():
+    thetas, phis = nodes_to_arrays(pick_nodes(build_partition(300)).nodes)
+    assert np.unique(thetas).size < thetas.size
+    return thetas, phis
+
+
+def _random_family():
+    return nodes_to_arrays(pick_nodes(build_partition(300), rule="random_in_region", seed=4).nodes)
+
+
+def _polar_points():
+    return np.array([0.0, math.pi, 0.0, 1.1, math.pi]), np.array([0.0, 0.0, 2.5, 0.4, 5.9])
+
+
+class TestRingDedup:
+    @pytest.mark.parametrize("points", [_ring_family, _random_family, _polar_points],
+                             ids=["area_center", "random_in_region", "poles"])
+    def test_rows_match_single_point_calls(self, points):
+        thetas, phis = points()
+        mat = basis_matrix(12, thetas, phis)
+        for i in range(thetas.size):
+            assert np.array_equal(mat[i], basis_matrix(12, thetas[i : i + 1], phis[i : i + 1])[0])
+
+
+@st.composite
+def synthesis_cases(draw):
+    """(c, thetas, phis): m <= 30 on ring nodes, random nodes, or a few
+    colatitudes (the poles among them) repeated at random longitudes."""
+    m = draw(st.integers(0, 30))
+    kind = draw(st.sampled_from(["area_center", "random_in_region", "repeated"]))
+    if kind == "repeated":
+        colatitudes = st.sampled_from([0.0, math.pi, 0.3, 1.2, 2.0])
+        rings = draw(st.lists(colatitudes, min_size=1, max_size=4))
+        phis = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=40))
+        thetas = np.array([rings[i % len(rings)] for i in range(len(phis))])
+        phis = np.array(phis)
+    else:
+        fam = pick_nodes(build_partition(draw(st.integers(50, 400))), rule=kind,
+                         seed=draw(st.integers(0, 2**16)))
+        thetas, phis = nodes_to_arrays(fam.nodes)
+    coeffs = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal(num_coeffs(m))
+    return CoefficientVector(m, coeffs), thetas, phis
+
+
+class TestMatrixFreeSynthesis:
+    @settings(max_examples=60, deadline=None)
+    @given(case=synthesis_cases())
+    def test_matches_dense_basis(self, case):
+        c, thetas, phis = case
+        dense = basis_matrix(c.m_max, thetas, phis) @ c.coeffs
+        tol = 1e-13 * np.sum(np.abs(c.coeffs)) * math.sqrt(2 * c.m_max + 1)
+        assert np.max(np.abs(eval_poly_many(c, thetas, phis) - dense)) <= tol
 
 
 class TestEvalBasis:
