@@ -26,7 +26,7 @@ import numpy as np
 from .filters import MultiplierFilter
 from .forward import apply_multiplier
 from .harmonics import CoefficientVector, embed, num_coeffs, sobolev_norm
-from .reconstruct import _weighted_basis
+from .reconstruct import _operator
 from .sphere_geometry import EqualAreaPartition, MzFamily, build_partition, pick_nodes
 
 __all__ = [
@@ -70,9 +70,7 @@ def mz_constants(fam: MzFamily, m: int) -> MzConstants:
         raise ValueError(
             f"need at least {dim} nodes to certify degree {m}, got {len(fam.nodes)}"
         )
-    bw = _weighted_basis(fam, m)
-    gram = bw.T @ bw
-    lam = np.linalg.eigvalsh(gram)
+    _, gram, lam = _operator(fam, m)
     delta = np.finfo(float).eps * (len(fam.nodes) * np.trace(gram) + dim * lam[-1])
     a, b = float(lam[0] - delta), float(lam[-1] + delta)
     return MzConstants(

@@ -10,6 +10,7 @@ JSON error object on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -159,10 +160,15 @@ def _make_filter(args) -> filt_mod.MultiplierFilter:
         )
     else:
         raise CliError(f"unknown filter kind {kind!r}")
+    # replace() re-runs the filter's validation on the attached fits
     if args.gamma is not None:
-        filt_mod.fit_decay(filt, _float(args.gamma, "gamma"))
+        gamma = _float(args.gamma, "gamma")
+        fit = filt_mod.DecayFit(filt_mod.fit_decay(filt, gamma), gamma, filt.m_max)
+        filt = dataclasses.replace(filt, decay_fit=fit)
     if args.zeta is not None:
-        filt_mod.fit_lower(filt, _float(args.zeta, "zeta"))
+        zeta = _float(args.zeta, "zeta")
+        fit = filt_mod.LowerFit(filt_mod.fit_lower(filt, zeta), zeta, filt.m_max)
+        filt = dataclasses.replace(filt, lower_fit=fit)
     return filt
 
 
@@ -278,6 +284,57 @@ def _cmd_verify_mz(args) -> int:
     return 0
 
 
+def _certificate_inputs(filt, truth, omega: float, gamma: float, zeta: float) -> dict:
+    """The ``bound_apriori`` arguments that are the same for every (m, beta) cell."""
+    return {
+        "omega": omega,
+        "gamma": gamma,
+        "zeta": zeta,
+        "norm_f_sigma": sobolev_norm(apply_multiplier(filt, truth), omega + gamma),
+        "c": filt_mod.fit_decay(filt, gamma),
+        "c0": filt_mod.fit_lower(filt, zeta),
+        "fit_m_max": filt.m_max,
+    }
+
+
+def _experiment_rows(filt, truth, cert_kw: dict, m: int, cells: list,
+                     nodes_factor: int, rule: str, node_seed: Optional[int]) -> list:
+    """Rows of the cells [(beta, noise_seed), ...] at degree m, all on one family.
+
+    The family size starts at nodes_factor * (m+1)^2 and doubles until the
+    measured epsilon is below 1 (the certificate needs a genuine MZ family).
+    The family depends on m only, so it is searched once for all cells, and
+    its sampling operator serves every cell's solve.  Each row records the
+    (N, epsilon) history of that search.
+    """
+    n = max(50, nodes_factor * (m + 1) ** 2)
+    partition, fam, const, search = cert_mod.find_family_size(
+        m, eps_target=0.999, rule=rule, seed=node_seed, start_n=n
+    )
+    rows = []
+    for beta, noise_seed in cells:
+        ms = simulate(truth, filt, fam, beta=beta, seed=noise_seed)
+        report = lsq_solve(filt, fam, m, ms.y)
+        certificate = cert_mod.bound_apriori(m=m, beta=beta, epsilon=const.epsilon, **cert_kw)
+        verification = cert_mod.verify_bound(truth, filt, report.solution, certificate)
+        rows.append({
+            "m": m,
+            "N": partition.N,
+            "beta": beta,
+            "measured_L2": verification.measured_L2,
+            "measured_Hzeta": verification.measured_Hzeta,
+            "bound_Hzeta": certificate.bound_Hzeta,
+            "bound_L2": certificate.bound_L2,
+            "epsilon": const.epsilon,
+            "residual": report.residual,
+            "pass_Hzeta": verification.pass_Hzeta,
+            "pass_L2": verification.pass_L2,
+            "passed": verification.passed,
+            "search": [[size, eps] for size, eps in search],
+        })
+    return rows
+
+
 def run_experiment_row(
     filt: filt_mod.MultiplierFilter,
     truth: CoefficientVector,
@@ -291,48 +348,15 @@ def run_experiment_row(
     rule: str = "area_center",
     node_seed: Optional[int] = None,
 ) -> dict:
-    """One (m, beta) cell: sample, reconstruct, certify, verify.
+    """One (m, beta) cell: search the family, sample, reconstruct, certify, verify.
 
-    The family size starts at nodes_factor * (m+1)^2 and doubles until the
-    measured epsilon is below 1 (the certificate needs a genuine MZ family).
+    The ``experiment`` command makes the same rows, with one family search
+    per degree for all its betas.
     """
-    n = max(50, nodes_factor * (m + 1) ** 2)
-    partition, fam, const, _ = cert_mod.find_family_size(
-        m, eps_target=0.999, rule=rule, seed=node_seed, start_n=n
-    )
-    c = filt_mod.fit_decay(filt, gamma)
-    c0 = filt_mod.fit_lower(filt, zeta)
-    ms = simulate(truth, filt, fam, beta=beta, seed=noise_seed)
-    report = lsq_solve(filt, fam, m, ms.y)
-    sigma = omega + gamma
-    norm_f_sigma = sobolev_norm(apply_multiplier(filt, truth), sigma)
-    certificate = cert_mod.bound_apriori(
-        m=m,
-        beta=beta,
-        epsilon=const.epsilon,
-        omega=omega,
-        gamma=gamma,
-        zeta=zeta,
-        norm_f_sigma=norm_f_sigma,
-        c=c,
-        c0=c0,
-        fit_m_max=filt.m_max,
-    )
-    verification = cert_mod.verify_bound(truth, filt, report.solution, certificate)
-    return {
-        "m": m,
-        "N": partition.N,
-        "beta": beta,
-        "measured_L2": verification.measured_L2,
-        "measured_Hzeta": verification.measured_Hzeta,
-        "bound_Hzeta": certificate.bound_Hzeta,
-        "bound_L2": certificate.bound_L2,
-        "epsilon": const.epsilon,
-        "residual": report.residual,
-        "pass_Hzeta": verification.pass_Hzeta,
-        "pass_L2": verification.pass_L2,
-        "passed": verification.passed,
-    }
+    cert_kw = _certificate_inputs(filt, truth, omega, gamma, zeta)
+    return _experiment_rows(
+        filt, truth, cert_kw, m, [(beta, noise_seed)], nodes_factor, rule, node_seed
+    )[0]
 
 
 _EXPERIMENT_COLUMNS = ["m", "N", "beta", "measured_L2", "measured_Hzeta",
@@ -364,25 +388,17 @@ def _cmd_experiment(args) -> int:
         betas = [_float(args.beta, "beta") if args.beta is not None else 0.0]
     if any(b > 0 for b in betas) and args.seed is None:
         raise CliError("--seed is required when any beta > 0")
-    rows = []
-    for bi, beta in enumerate(betas):
-        for mi, m in enumerate(m_grid):
-            noise_seed = None if beta == 0 else int(args.seed) + 1000 * bi + mi
-            rows.append(
-                run_experiment_row(
-                    filt,
-                    truth,
-                    omega,
-                    gamma,
-                    zeta,
-                    m,
-                    beta,
-                    noise_seed,
-                    nodes_factor=int(args.nodes_factor) if args.nodes_factor else 4,
-                    rule=args.rule or "area_center",
-                    node_seed=args.node_seed,
-                )
-            )
+    cert_kw = _certificate_inputs(filt, truth, omega, gamma, zeta)
+    nodes_factor = int(args.nodes_factor) if args.nodes_factor else 4
+    # Degrees outer, so that one family lives at a time; rows stay beta-major.
+    rows = [None] * (len(betas) * len(m_grid))
+    for mi, m in enumerate(m_grid):
+        beta_seeds = [(beta, None if beta == 0 else int(args.seed) + 1000 * bi + mi)
+                      for bi, beta in enumerate(betas)]
+        rows[mi::len(m_grid)] = _experiment_rows(
+            filt, truth, cert_kw, m, beta_seeds, nodes_factor, args.rule or "area_center",
+            args.node_seed,
+        )
     lines = [",".join(_EXPERIMENT_COLUMNS)]
     for row in rows:
         cells = []

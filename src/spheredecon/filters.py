@@ -305,29 +305,29 @@ def profile_l2_norm(
 
 
 def fit_decay(filt: MultiplierFilter, gamma: float) -> float:
-    """Smallest c with |b_m| <= c (1+m(m+1))^{-gamma/2} over the stored range."""
+    """Smallest c with |b_m| <= c (1+m(m+1))^{-gamma/2} over the stored range.
+
+    The filter is left unchanged; attach the fit with
+    ``dataclasses.replace(filt, decay_fit=DecayFit(c, gamma, filt.m_max))``.
+    """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     lam = _one_plus_lambda_sq(filt.m_max)
-    c = float(np.max(np.abs(filt.b) * lam ** (gamma / 2)))
-    filt.decay_fit = DecayFit(c=c, gamma=gamma, m_max=filt.m_max)
-    return c
+    return float(np.max(np.abs(filt.b) * lam ** (gamma / 2)))
 
 
 def fit_lower(filt: MultiplierFilter, zeta: float) -> float:
     """Largest c0 with |b_m| >= c0 (1+m(m+1))^{-zeta/2} over the stored range.
 
-    Returns 0 when some stored multiplier vanishes.
+    Returns 0 when some stored multiplier vanishes.  The filter is left
+    unchanged, as by ``fit_decay``.
     """
     if zeta < 0:
         raise ValueError("zeta must be >= 0")
     if np.any(filt.b == 0.0):
-        filt.lower_fit = LowerFit(c0=0.0, zeta=zeta, m_max=filt.m_max)
         return 0.0
     lam = _one_plus_lambda_sq(filt.m_max)
-    c0 = float(np.min(np.abs(filt.b) * lam ** (zeta / 2)))
-    filt.lower_fit = LowerFit(c0=c0, zeta=zeta, m_max=filt.m_max)
-    return c0
+    return float(np.min(np.abs(filt.b) * lam ** (zeta / 2)))
 
 
 def radial_laplacian(profile: RadialProfile, grid_size: int = 8193) -> TabulatedProfile:

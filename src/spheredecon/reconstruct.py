@@ -14,6 +14,11 @@ ill-conditioning that the multipliers add.  The singular values of the
 filtered matrix come from eigenvalues of D G D (large ones) and of
 D^{-1} G^{-1} D^{-1} (small ones), D = diag(b), each where it is accurate.
 
+B_w, G and the eigenvalues of G are the sampling operator of one (family,
+degree) pair.  ``_operator`` builds them once and keeps them on the family,
+so the frame constants (certify.mz_constants), the solve and the design
+matrix of that pair share one basis build and one eigensolve.
+
 The SVD pseudoinverse of the filtered matrix, with relative cutoff 1e-12,
 runs instead when G is singular to half the working precision or when the
 multipliers spread so widely that the cutoff could drop a direction; only
@@ -62,12 +67,24 @@ def active_degrees(filt: MultiplierFilter, m: int) -> tuple:
     return tuple(int(d) for d in range(m + 1) if filt.b[d] != 0.0)
 
 
-def _weighted_basis(fam: MzFamily, m: int) -> np.ndarray:
-    """B_w = [sqrt(tau_j) Y_k(x_j)] for degrees <= m."""
+def _operator(fam: MzFamily, m: int) -> tuple:
+    """Read-only (B_w, G, eigvalsh(G)) of the family at degree m.
+
+    B_w = [sqrt(tau_j) Y_k(x_j)] for degrees <= m and G = B_w^T B_w.  The
+    family keeps the last degree's operator in its one slot; a call at
+    another degree replaces it.
+    """
+    if fam._operator is not None and fam._operator[0] == m:
+        return fam._operator[1:]
     thetas, phis = nodes_to_arrays(fam.nodes)
     bw = basis_matrix(m, thetas, phis)
     bw *= np.sqrt(fam.weights)[:, None]
-    return bw
+    gram = bw.T @ bw
+    lam = np.linalg.eigvalsh(gram)
+    for arr in (bw, gram, lam):
+        arr.flags.writeable = False
+    object.__setattr__(fam, "_operator", (m, bw, gram, lam))
+    return bw, gram, lam
 
 
 def _active_columns(filt: MultiplierFilter, fam: MzFamily, m: int):
@@ -94,7 +111,7 @@ def design_matrix(filt: MultiplierFilter, fam: MzFamily, m: int):
     indices into the full degree-major layout).
     """
     cols, scale = _active_columns(filt, fam, m)
-    return _weighted_basis(fam, m)[:, cols] * scale[None, :], cols
+    return _operator(fam, m)[0][:, cols] * scale[None, :], cols
 
 
 def lsq_solve(
@@ -114,10 +131,11 @@ def lsq_solve(
     if not np.all(np.isfinite(y)):
         raise ValueError("y must be finite")
     cols, scale = _active_columns(filt, fam, m)
-    bw = _weighted_basis(fam, m)
-    gram = (bw.T @ bw)[np.ix_(cols, cols)]
+    bw, gram, lam = _operator(fam, m)
+    if cols.size < gram.shape[0]:
+        gram = gram[np.ix_(cols, cols)]
+        lam = np.linalg.eigvalsh(gram)
     ytil = y * np.sqrt(fam.weights)
-    lam = np.linalg.eigvalsh(gram)
     spread = np.max(np.abs(scale)) / np.min(np.abs(scale))
     coeffs = np.zeros(num_coeffs(m))
     if lam[0] > _GRAM_RCOND * lam[-1] and np.sqrt(lam[0] / lam[-1]) > _SVD_RCOND * spread:

@@ -12,7 +12,7 @@ Marcinkiewicz-Zygmund family with weights 1/N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -289,13 +289,19 @@ class MzFamily:
     """Sampling nodes and weights, one node per partition region.
 
     Frame constants are measured, not stored: see certify.mz_constants.
+    Nodes and weights are immutable (a tuple and a read-only copy), so the
+    sampling operator that reconstruct builds for one degree can be kept on
+    the family without going stale.
     """
 
     nodes: tuple
     weights: np.ndarray
+    _operator: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float)
+        w.flags.writeable = False
+        object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "weights", w)
         if len(self.nodes) != w.size:
             raise ValueError("nodes and weights must have the same length")

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from spheredecon import cli
+from spheredecon import certify, cli
 from spheredecon.artifacts import write_json
-from spheredecon.cli import main
+from spheredecon.cli import main, run_experiment_row
+from spheredecon.filters import filter_from_json
+from spheredecon.harmonics import random_poly
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "demos" / "configs"
@@ -382,3 +384,54 @@ class TestRoundTrip:
         args[-1] = "c2.csv"
         run(args, capsys)
         assert first == Path("c2.csv").read_bytes()
+
+
+class TestExperimentFamilies:
+    """The experiment searches each degree's family once, for all its betas."""
+
+    M_GRID, BETAS, SEED, NODE_SEED = (2, 4, 5), (0.01, 0.1), 3, 11
+
+    def experiment(self, tmp_path, capsys):
+        filt = tmp_path / "cap.json"
+        run(["filter", "--kind", "cap", "--theta0", 0.3, "--m-max", 10, "--out", filt], capsys)
+        code, _, err = run(
+            ["experiment", "--filter", filt, "--omega", 2.0, "--gamma", 1.5, "--zeta", 1.5,
+             "--m-grid", ",".join(map(str, self.M_GRID)),
+             "--betas", ",".join(map(str, self.BETAS)), "--seed", self.SEED,
+             "--truth-m-max", 8, "--truth-seed", 2, "--nodes-factor", 1,
+             "--rule", "random_in_region", "--node-seed", self.NODE_SEED,
+             "--out", tmp_path / "curve.csv", "--out-json", tmp_path / "rows.json"],
+            capsys,
+        )
+        assert code == 0, err
+        return filter_from_json(json.loads(filt.read_text())), json.loads(
+            (tmp_path / "rows.json").read_text())
+
+    def test_one_search_per_degree(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        mz_constants = certify.mz_constants
+
+        def spy(fam, m):
+            calls.append(m)
+            return mz_constants(fam, m)
+
+        monkeypatch.setattr(certify, "mz_constants", spy)
+        _, rows = self.experiment(tmp_path, capsys)
+        searches = {row["m"]: row["search"] for row in rows}
+        assert sum(len(h) - 1 for h in searches.values()) > 0  # some search doubles
+        # one call per degree plus its doublings, degrees in grid order
+        assert calls == [m for m, h in searches.items() for _ in h]
+        for row in rows:
+            assert row["search"][-1] == [row["N"], row["epsilon"]]
+
+    def test_rows_equal_per_cell_calls(self, tmp_path, capsys):
+        filt, rows = self.experiment(tmp_path, capsys)
+        truth = random_poly(8, 3.5, 2, unit_norm=False)
+        expected = [
+            run_experiment_row(filt, truth, 2.0, 1.5, 1.5, m, beta,
+                               self.SEED + 1000 * bi + mi, nodes_factor=1,
+                               rule="random_in_region", node_seed=self.NODE_SEED)
+            for bi, beta in enumerate(self.BETAS) for mi, m in enumerate(self.M_GRID)
+        ]
+        # JSON keeps every double exactly (repr round trip), so this is bitwise
+        assert rows == json.loads(json.dumps(expected))

@@ -1,5 +1,6 @@
 """Multiplier sequences: closed forms, quadrature, fits and profile norms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from spheredecon.special_functions import JacobiParams, adaptive_quadrature, jac
 
 from spheredecon.filters import (
     CapProfile,
+    DecayFit,
+    LowerFit,
     LunarProfile,
     MultiplierFilter,
     PlanckProfile,
@@ -159,8 +162,10 @@ class TestProfileL2Norms:
 class TestFits:
     def test_identity_decay(self):
         filt = identity_multipliers(20)
-        assert fit_decay(filt, 0.0) == pytest.approx(1.0)
-        assert filt.decay_fit.m_max == 20
+        c = fit_decay(filt, 0.0)
+        assert c == pytest.approx(1.0)
+        fitted = dataclasses.replace(filt, decay_fit=DecayFit(c, 0.0, filt.m_max))
+        assert fitted.decay_fit.m_max == 20
 
     def test_cap_decay_below_kogbetliantz(self):
         filt = cap_multipliers(THETA_41, 1400)
@@ -192,6 +197,16 @@ class TestFits:
         c = fit_decay(filt, 1.5)
         m = np.arange(101, dtype=float)
         assert np.all(np.abs(filt.b) <= c * (1 + m * (m + 1)) ** (-0.75) * (1 + 1e-12))
+
+    def test_fits_leave_filter_unchanged(self):
+        filt = cap_multipliers(0.5, 30)
+        decay, lower = DecayFit(1.0, 0.0, 30), LowerFit(0.0, 0.0, 30)
+        filt = dataclasses.replace(filt, decay_fit=decay, lower_fit=lower)
+        b = filt.b.copy()
+        fit_decay(filt, 1.5)
+        fit_lower(filt, 1.5)
+        assert filt.decay_fit is decay and filt.lower_fit is lower
+        np.testing.assert_array_equal(filt.b, b)
 
 
 class TestSmoothnessBound:
@@ -282,8 +297,11 @@ class TestZonalParseval:
 class TestFilterJson:
     def test_roundtrip_with_fits(self):
         filt = cap_multipliers(0.4, 25)
-        fit_decay(filt, 1.5)
-        fit_lower(filt, 1.5)
+        filt = dataclasses.replace(
+            filt,
+            decay_fit=DecayFit(fit_decay(filt, 1.5), 1.5, 25),
+            lower_fit=LowerFit(fit_lower(filt, 1.5), 1.5, 25),
+        )
         obj = filter_to_json(filt)
         assert obj["m_max"] == 25
         back = filter_from_json(obj)

@@ -15,14 +15,16 @@ from spheredecon.harmonics import (
     num_coeffs,
     random_poly,
 )
+from spheredecon import reconstruct
 from spheredecon.reconstruct import (
+    _operator,
     design_matrix,
     lsq_solve,
     reconstruct_direct,
     solution_to_json,
 )
 from spheredecon.certify import mz_constants
-from spheredecon.sphere_geometry import build_partition, pick_nodes
+from spheredecon.sphere_geometry import MzFamily, SpherePoint, build_partition, pick_nodes
 
 THETA_41 = 2 * math.pi / 41
 
@@ -41,17 +43,22 @@ def svd_oracle(filt, fam, m, y):
     return coeffs, sv, int(kept.sum())
 
 
-def count_svd_calls(monkeypatch):
-    """Record every numpy.linalg.svd call made from now on."""
+def record_calls(monkeypatch, owner, name, key=np.shape):
+    """Record key(first argument) of every owner.name call made from now on."""
     calls = []
-    svd = np.linalg.svd
+    fn = getattr(owner, name)
 
-    def spy(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return svd(*args, **kwargs)
+    def spy(first, *args, **kwargs):
+        calls.append(key(first))
+        return fn(first, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(owner, name, spy)
     return calls
+
+
+def count_svd_calls(monkeypatch):
+    """Record the shape of every numpy.linalg.svd call made from now on."""
+    return record_calls(monkeypatch, np.linalg, "svd")
 
 
 def rel_diff(got, want):
@@ -287,6 +294,74 @@ class TestGramSolveAgainstSvd:
         assert report.full_rank
         assert report.singular_values[-1] == pytest.approx(sigma_min, rel=1e-10)
         assert report.frame_lower == pytest.approx(sigma_min**2, rel=1e-10)
+
+
+def scattered_family():
+    return pick_nodes(build_partition(300), rule="random_in_region", seed=4)
+
+
+class TestSamplingOperator:
+    """B_w, G and eigvalsh(G) are built once per (family, degree)."""
+
+    def test_basis_built_once(self, monkeypatch):
+        fam = scattered_family()
+        degrees = record_calls(monkeypatch, reconstruct, "basis_matrix", key=int)
+        mz_constants(fam, 8)
+        lsq_solve(cap_multipliers(THETA_41, 8), fam, 8, np.ones(300))
+        design_matrix(identity_multipliers(8), fam, 8)
+        assert degrees == [8]
+
+    @pytest.mark.parametrize("filt", [cap_multipliers(THETA_41, 8),
+                                      MultiplierFilter(np.r_[1.0, 0.0, np.ones(7)])],
+                             ids=["cap", "partly_active"])
+    def test_bitwise_equal_to_a_fresh_family(self, filt):
+        y = np.random.default_rng(30).standard_normal(300)
+        fam = scattered_family()
+        const = mz_constants(fam, 8)
+        report = lsq_solve(filt, fam, 8, y)
+        fresh_const = mz_constants(scattered_family(), 8)
+        fresh = lsq_solve(filt, scattered_family(), 8, y)
+        assert (const.A, const.B, const.epsilon) == (fresh_const.A, fresh_const.B,
+                                                     fresh_const.epsilon)
+        np.testing.assert_array_equal(report.solution.coeffs, fresh.solution.coeffs)
+        np.testing.assert_array_equal(report.singular_values, fresh.singular_values)
+        assert report.residual == fresh.residual
+
+    def test_other_degree_replaces_the_slot(self, monkeypatch):
+        fam = scattered_family()
+        first = mz_constants(fam, 4)
+        degrees = record_calls(monkeypatch, reconstruct, "basis_matrix", key=int)
+        mz_constants(fam, 6)
+        assert fam._operator[0] == 6
+        again = mz_constants(fam, 4)
+        mz_constants(fam, 4)
+        assert degrees == [6, 4]
+        assert (again.A, again.B) == (first.A, first.B)
+
+    def test_nodes_weights_and_operator_read_only(self):
+        nodes = [SpherePoint(0.5, 1.0), SpherePoint(2.0, 4.0)]
+        weights = np.array([0.5, 0.5])
+        fam = MzFamily(nodes=nodes, weights=weights)
+        weights[0] = 0.25
+        nodes.pop()
+        assert fam.weights[0] == 0.5 and len(fam.nodes) == 2
+        with pytest.raises(ValueError, match="read-only"):
+            fam.weights[0] = 0.25
+        for arr in _operator(fam, 0):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+
+    def test_partly_active_filter_takes_the_submatrix_eigenvalues(self, monkeypatch):
+        fam = scattered_family()
+        mz_constants(fam, 4)
+        y = np.ones(300)
+        shapes = record_calls(monkeypatch, np.linalg, "eigvalsh")
+        lsq_solve(MultiplierFilter(np.ones(5)), fam, 4, y)
+        # all degrees active: G's cached eigenvalues; two eigensolves for sigma
+        assert shapes == [(25, 25)] * 2
+        shapes.clear()
+        lsq_solve(MultiplierFilter(np.array([1.0, 0.0, 1.0, 0.5, 0.25])), fam, 4, y)
+        assert shapes == [(22, 22)] * 3
 
 
 class TestSolutionJson:
