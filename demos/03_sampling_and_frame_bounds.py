@@ -12,6 +12,7 @@ import numpy as np
 from spheredecon import (
     CoefficientVector,
     build_partition,
+    filtered_singular_values,
     find_family_size,
     identity_multipliers,
     lsq_solve,
@@ -54,4 +55,6 @@ report = lsq_solve(identity_multipliers(m), fam, m, ms.y)
 rel = np.linalg.norm(report.solution.coeffs - truth.coeffs) / truth.l2_norm()
 print(f"\nnoiseless recovery of a degree-{m} polynomial from {partition.N} samples:")
 print(f"  relative coefficient error = {rel:.2e}")
-print(f"  solver frame bounds A = {report.frame_lower:.4f}, B = {report.frame_upper:.4f}")
+sv = filtered_singular_values(identity_multipliers(m), fam, m)
+print(f"  sampling-matrix frame bounds sigma_min^2 = {sv[-1] ** 2:.4f}, "
+      f"sigma_max^2 = {sv[0] ** 2:.4f}")

@@ -58,7 +58,13 @@ from .filters import (
     smoothness_bound,
 )
 from .forward import MeasurementSet, add_noise, apply_multiplier, sample_at, simulate
-from .reconstruct import LsqReport, design_matrix, lsq_solve, reconstruct_direct
+from .reconstruct import (
+    LsqReport,
+    design_matrix,
+    filtered_singular_values,
+    lsq_solve,
+    reconstruct_direct,
+)
 from .certify import (
     Certificate,
     MzConstants,

@@ -26,7 +26,7 @@ import numpy as np
 from .filters import MultiplierFilter
 from .forward import apply_multiplier
 from .harmonics import CoefficientVector, embed, num_coeffs, sobolev_norm
-from .reconstruct import _operator
+from .reconstruct import _gram_eigenvalues, _operator
 from .sphere_geometry import EqualAreaPartition, MzFamily, build_partition, pick_nodes
 
 __all__ = [
@@ -70,7 +70,8 @@ def mz_constants(fam: MzFamily, m: int) -> MzConstants:
         raise ValueError(
             f"need at least {dim} nodes to certify degree {m}, got {len(fam.nodes)}"
         )
-    _, gram, lam = _operator(fam, m)
+    _, gram = _operator(fam, m)
+    lam = _gram_eigenvalues(fam, m)
     delta = np.finfo(float).eps * (len(fam.nodes) * np.trace(gram) + dim * lam[-1])
     a, b = float(lam[0] - delta), float(lam[-1] + delta)
     return MzConstants(

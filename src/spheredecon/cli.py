@@ -19,7 +19,14 @@ from typing import Optional
 from . import certify as cert_mod
 from . import filters as filt_mod
 from .artifacts import atomic_write_text, format_float, write_json
-from .forward import read_measurements_csv, simulate, write_measurements_csv
+from .forward import (
+    add_noise,
+    apply_multiplier,
+    read_measurements_csv,
+    sample_at,
+    simulate,
+    write_measurements_csv,
+)
 from .harmonics import (
     CoefficientVector,
     coeffs_from_json,
@@ -27,8 +34,7 @@ from .harmonics import (
     random_poly,
     sobolev_norm,
 )
-from .forward import apply_multiplier
-from .reconstruct import lsq_solve, solution_to_json
+from .reconstruct import filtered_singular_values, lsq_solve, solution_to_json
 from .sphere_geometry import (
     MzFamily,
     build_partition,
@@ -211,8 +217,9 @@ def _cmd_reconstruct(args) -> int:
     filt = _load_filter(args.filter)
     ms = read_measurements_csv(args.measurements, sidecar_path=args.sidecar)
     fam = MzFamily(nodes=ms.nodes, weights=ms.weights)
-    report = lsq_solve(filt, fam, int(args.m), ms.y)
-    write_json(args.out, solution_to_json(report))
+    m = int(args.m)
+    report = lsq_solve(filt, fam, m, ms.y)
+    write_json(args.out, solution_to_json(report, filtered_singular_values(filt, fam, m)))
     return 0
 
 
@@ -303,18 +310,20 @@ def _experiment_rows(filt, truth, cert_kw: dict, m: int, cells: list,
 
     The family size starts at nodes_factor * (m+1)^2 and doubles until the
     measured epsilon is below 1 (the certificate needs a genuine MZ family).
-    The family depends on m only, so it is searched once for all cells, and
-    its sampling operator serves every cell's solve.  Each row records the
-    (N, epsilon) history of that search.
+    The family depends on m only, so it is searched once for all cells, the
+    filtered truth is sampled on it once, and its sampling operator serves
+    every cell's solve.  Each cell adds its own noise to those samples, as
+    ``simulate`` would.  Each row records the (N, epsilon) history of the
+    search.
     """
     n = max(50, nodes_factor * (m + 1) ** 2)
     partition, fam, const, search = cert_mod.find_family_size(
         m, eps_target=0.999, rule=rule, seed=node_seed, start_n=n
     )
+    clean = sample_at(apply_multiplier(filt, truth), fam.nodes)
     rows = []
     for beta, noise_seed in cells:
-        ms = simulate(truth, filt, fam, beta=beta, seed=noise_seed)
-        report = lsq_solve(filt, fam, m, ms.y)
+        report = lsq_solve(filt, fam, m, add_noise(clean, beta, noise_seed))
         certificate = cert_mod.bound_apriori(m=m, beta=beta, epsilon=const.epsilon, **cert_kw)
         verification = cert_mod.verify_bound(truth, filt, report.solution, certificate)
         rows.append({

@@ -10,19 +10,24 @@ F is diagonal in the harmonic basis, so the filtered fit is the fit d of the
 followed by c = d / b.  Its normal equations G d = B_w^T sqrt(tau) y, with
 G = B_w^T B_w of size (m+1)^2, are safe because G does not see the filter:
 cond G <= (1+eps)/(1-eps) for an MZ family, far from squaring the
-ill-conditioning that the multipliers add.  The singular values of the
-filtered matrix come from eigenvalues of D G D (large ones) and of
-D^{-1} G^{-1} D^{-1} (small ones), D = diag(b), each where it is accurate.
+ill-conditioning that the multipliers add.  A solve is one linear solve of
+the active block of G; it computes no spectrum.
 
-B_w, G and the eigenvalues of G are the sampling operator of one (family,
-degree) pair.  ``_operator`` builds them once and keeps them on the family,
-so the frame constants (certify.mz_constants), the solve and the design
-matrix of that pair share one basis build and one eigensolve.
+B_w and G are the sampling operator of one (family, degree) pair, and
+eigvalsh(G) is added to it on first need (frame constants, or a solve with
+every degree active).  ``_operator`` builds them once and keeps them on the
+family, so the frame constants (certify.mz_constants), the solve and the
+design matrix of that pair share one basis build and at most one eigensolve.
 
 The SVD pseudoinverse of the filtered matrix, with relative cutoff 1e-12,
 runs instead when G is singular to half the working precision or when the
 multipliers spread so widely that the cutoff could drop a direction; only
 then can its minimum-norm answer differ from d / b.
+
+The singular values of the filtered matrix B_w D, D = diag(b), are no frame
+constants and enter no certificate; ``filtered_singular_values`` computes
+them on request, for the solution JSON, from eigenvalues of D G D (large
+ones) and of D^{-1} G^{-1} D^{-1} (small ones), each where it is accurate.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ from .filters import MultiplierFilter, identity_multipliers
 from .harmonics import CoefficientVector, basis_matrix, num_coeffs
 from .sphere_geometry import MzFamily, nodes_to_arrays
 
-__all__ = ["LsqReport", "design_matrix", "lsq_solve", "reconstruct_direct", "solution_to_json"]
+__all__ = ["LsqReport", "design_matrix", "filtered_singular_values", "lsq_solve",
+           "reconstruct_direct", "solution_to_json"]
 
 _SVD_RCOND = 1e-12
 # The normal equations lose about eps * cond G: beyond 1/sqrt(eps) they would
@@ -45,18 +51,10 @@ _GRAM_RCOND = float(np.sqrt(np.finfo(float).eps))
 
 @dataclass(frozen=True)
 class LsqReport:
-    """Solution of one weighted least-squares solve plus solver diagnostics.
-
-    frame_lower / frame_upper are the extreme squared singular values of the
-    weighted design matrix restricted to the active columns; they play the
-    role of the frame constants of the sampled system.
-    """
+    """Solution of one weighted least-squares solve plus solver diagnostics."""
 
     solution: CoefficientVector
     residual: float
-    singular_values: np.ndarray
-    frame_lower: float
-    frame_upper: float
     rank: int
     active_degrees: tuple
     full_rank: bool
@@ -68,23 +66,33 @@ def active_degrees(filt: MultiplierFilter, m: int) -> tuple:
 
 
 def _operator(fam: MzFamily, m: int) -> tuple:
-    """Read-only (B_w, G, eigvalsh(G)) of the family at degree m.
+    """Read-only (B_w, G) of the family at degree m.
 
     B_w = [sqrt(tau_j) Y_k(x_j)] for degrees <= m and G = B_w^T B_w.  The
-    family keeps the last degree's operator in its one slot; a call at
+    family keeps the last degree's operator in its one slot, (m, B_w, G,
+    eigvalsh(G) or None until ``_gram_eigenvalues`` needs it); a call at
     another degree replaces it.
     """
-    if fam._operator is not None and fam._operator[0] == m:
-        return fam._operator[1:]
-    thetas, phis = nodes_to_arrays(fam.nodes)
-    bw = basis_matrix(m, thetas, phis)
-    bw *= np.sqrt(fam.weights)[:, None]
-    gram = bw.T @ bw
-    lam = np.linalg.eigvalsh(gram)
-    for arr in (bw, gram, lam):
-        arr.flags.writeable = False
-    object.__setattr__(fam, "_operator", (m, bw, gram, lam))
-    return bw, gram, lam
+    if fam._operator is None or fam._operator[0] != m:
+        thetas, phis = nodes_to_arrays(fam.nodes)
+        bw = basis_matrix(m, thetas, phis)
+        bw *= np.sqrt(fam.weights)[:, None]
+        gram = bw.T @ bw
+        for arr in (bw, gram):
+            arr.flags.writeable = False
+        object.__setattr__(fam, "_operator", (m, bw, gram, None))
+    return fam._operator[1:3]
+
+
+def _gram_eigenvalues(fam: MzFamily, m: int) -> np.ndarray:
+    """Read-only ascending eigvalsh(G) of the family at degree m, kept in its slot."""
+    bw, gram = _operator(fam, m)
+    lam = fam._operator[3]
+    if lam is None:
+        lam = np.linalg.eigvalsh(gram)
+        lam.flags.writeable = False
+        object.__setattr__(fam, "_operator", (m, bw, gram, lam))
+    return lam
 
 
 def _active_columns(filt: MultiplierFilter, fam: MzFamily, m: int):
@@ -101,6 +109,27 @@ def _active_columns(filt: MultiplierFilter, fam: MzFamily, m: int):
     cols = np.concatenate([np.arange(d * d, (d + 1) * (d + 1)) for d in act])
     scale = np.concatenate([np.full(2 * d + 1, filt.b[d]) for d in act])
     return cols, scale
+
+
+def _active_system(filt: MultiplierFilter, fam: MzFamily, m: int):
+    """(cols, scale, B_w, G_act, eigvalsh(G_act), on_gram) of the filtered system.
+
+    G_act is G restricted to the active columns.  on_gram says whether its
+    normal equations stand for the SVD with relative cutoff 1e-12 (see the
+    module docstring).
+    """
+    cols, scale = _active_columns(filt, fam, m)
+    bw, gram = _operator(fam, m)
+    if cols.size < gram.shape[0]:
+        gram = gram[np.ix_(cols, cols)]
+        lam = np.linalg.eigvalsh(gram)
+    else:
+        lam = _gram_eigenvalues(fam, m)
+    spread = np.max(np.abs(scale)) / np.min(np.abs(scale))
+    on_gram = bool(
+        lam[0] > _GRAM_RCOND * lam[-1] and np.sqrt(lam[0] / lam[-1]) > _SVD_RCOND * spread
+    )
+    return cols, scale, bw, gram, lam, on_gram
 
 
 def design_matrix(filt: MultiplierFilter, fam: MzFamily, m: int):
@@ -130,30 +159,18 @@ def lsq_solve(
         raise ValueError("y must have one entry per node")
     if not np.all(np.isfinite(y)):
         raise ValueError("y must be finite")
-    cols, scale = _active_columns(filt, fam, m)
-    bw, gram, lam = _operator(fam, m)
-    if cols.size < gram.shape[0]:
-        gram = gram[np.ix_(cols, cols)]
-        lam = np.linalg.eigvalsh(gram)
+    cols, scale, bw, gram, lam, on_gram = _active_system(filt, fam, m)
     ytil = y * np.sqrt(fam.weights)
-    spread = np.max(np.abs(scale)) / np.min(np.abs(scale))
     coeffs = np.zeros(num_coeffs(m))
-    if lam[0] > _GRAM_RCOND * lam[-1] and np.sqrt(lam[0] / lam[-1]) > _SVD_RCOND * spread:
+    if on_gram:
         d = np.zeros(num_coeffs(m))
         d[cols] = np.linalg.solve(gram, (bw.T @ ytil)[cols])
         coeffs[cols] = d[cols] / scale
         residual = float(np.linalg.norm(bw @ d - ytil))
-        # sigma^2 are the eigenvalues of D G D; its eigensolver resolves them
-        # to eps * sigma_max^2 only, so the small ones are taken as inverse
-        # eigenvalues of D^{-1} G^{-1} D^{-1}, resolved to eps / sigma_min^2.
-        big = np.linalg.eigvalsh(scale[:, None] * gram * scale[None, :])
-        inv_scale = 1.0 / scale
-        small = 1.0 / np.linalg.eigvalsh(
-            inv_scale[:, None] * np.linalg.inv(gram) * inv_scale[None, :]
-        )[::-1]
-        sq = np.where(big >= np.sqrt(big[-1] * small[0]), big, small)
-        sv = np.sqrt(sq[::-1])
         rank = cols.size
+        # d solves the unfiltered system, whose smallest squared singular
+        # value is lambda_min(G_act).
+        solved, lower = d, lam[0]
     else:
         mat = bw[:, cols] * scale[None, :]
         u, sv, vt = np.linalg.svd(mat, full_matrices=False)
@@ -165,26 +182,42 @@ def lsq_solve(
         active_sol = vt.T @ (inv * (u.T @ ytil))
         coeffs[cols] = active_sol
         residual = float(np.linalg.norm(mat @ active_sol - ytil))
-    solution = CoefficientVector(m, coeffs)
+        solved, lower = active_sol, sv[-1] ** 2
     full_rank = rank == cols.size
-    frame_lower = float(sv[-1] ** 2)
-    frame_upper = float(sv[0] ** 2)
-    if full_rank and frame_lower > 0:
-        # Lemma-type stability: ||solution||_2 <= A^{-1/2} ||y||_tau; a
-        # violation beyond rounding means the solve is broken.
-        bound = float(np.linalg.norm(ytil)) / np.sqrt(frame_lower)
-        if solution.l2_norm() > bound * (1.0 + 1e-9) + 1e-300:
+    if full_rank and lower > 0:
+        # Lemma-type stability: ||x||_2 <= sigma_min^{-1} ||y||_tau for the
+        # solution x of the solved system; a violation beyond rounding means
+        # the solve is broken.
+        bound = float(np.linalg.norm(ytil)) / np.sqrt(lower)
+        if np.linalg.norm(solved) > bound * (1.0 + 1e-9) + 1e-300:
             raise RuntimeError("least-squares stability bound violated")
     return LsqReport(
-        solution=solution,
+        solution=CoefficientVector(m, coeffs),
         residual=residual,
-        singular_values=sv,
-        frame_lower=frame_lower,
-        frame_upper=frame_upper,
         rank=rank,
         active_degrees=active_degrees(filt, m),
         full_rank=full_rank,
     )
+
+
+def filtered_singular_values(filt: MultiplierFilter, fam: MzFamily, m: int) -> np.ndarray:
+    """Descending singular values of the filtered matrix B_w D on the active degrees.
+
+    Where ``lsq_solve`` takes the normal equations they come from the
+    eigenvalues of D G D, resolved to eps * sigma_max^2 only, and the small
+    ones from inverse eigenvalues of D^{-1} G^{-1} D^{-1}, resolved to
+    eps / sigma_min^2; elsewhere from an SVD of B_w D.
+    """
+    cols, scale, bw, gram, lam, on_gram = _active_system(filt, fam, m)
+    if not on_gram:
+        return np.linalg.svd(bw[:, cols] * scale[None, :], compute_uv=False)
+    big = np.linalg.eigvalsh(scale[:, None] * gram * scale[None, :])
+    inv_scale = 1.0 / scale
+    small = 1.0 / np.linalg.eigvalsh(
+        inv_scale[:, None] * np.linalg.inv(gram) * inv_scale[None, :]
+    )[::-1]
+    sq = np.where(big >= np.sqrt(big[-1] * small[0]), big, small)
+    return np.sqrt(sq[::-1])
 
 
 def reconstruct_direct(fam: MzFamily, m: int, y: np.ndarray) -> LsqReport:
@@ -192,7 +225,12 @@ def reconstruct_direct(fam: MzFamily, m: int, y: np.ndarray) -> LsqReport:
     return lsq_solve(identity_multipliers(m), fam, m, y)
 
 
-def solution_to_json(report: LsqReport) -> dict:
+def solution_to_json(report: LsqReport, sv: np.ndarray) -> dict:
+    """Solution and diagnostics; sv = filtered_singular_values of the same solve.
+
+    frame_lower / frame_upper are sigma_min^2 / sigma_max^2 of the filtered
+    matrix, not the MZ frame constants of the family (certify.mz_constants).
+    """
     return {
         "m_max": report.solution.m_max,
         "coeffs": [float(v) for v in report.solution.coeffs],
@@ -200,10 +238,10 @@ def solution_to_json(report: LsqReport) -> dict:
             "residual": report.residual,
             "rank": report.rank,
             "full_rank": report.full_rank,
-            "frame_lower": report.frame_lower,
-            "frame_upper": report.frame_upper,
-            "sigma_max": float(report.singular_values[0]),
-            "sigma_min": float(report.singular_values[-1]),
+            "frame_lower": float(sv[-1] ** 2),
+            "frame_upper": float(sv[0] ** 2),
+            "sigma_max": float(sv[0]),
+            "sigma_min": float(sv[-1]),
             "active_degrees": list(report.active_degrees),
         },
     }

@@ -308,6 +308,27 @@ class TestBlasThreads:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_reconstruct_rerun_byte_identical(self, threads, tmp_path, capsys):
+        filt, meas = tmp_path / "f.json", tmp_path / "meas.csv"
+        run(["filter", "--kind", "cap", "--theta0", THETA_41, "--m-max", 20, "--out", filt],
+            capsys)
+        run(["simulate", "--filter", filt, "--truth-m-max", 20, "--truth-sigma", 2.0,
+             "--truth-seed", 7, "--n", 1156, "--beta", 0.01, "--seed", 11, "--out", meas],
+            capsys)
+        path = os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        outputs = []
+        for attempt in range(2):
+            out = tmp_path / f"solution_{attempt}.json"
+            subprocess.run(
+                [sys.executable, "-m", "spheredecon.cli", "reconstruct", "--filter", str(filt),
+                 "--measurements", str(meas), "--m", "16", "--out", str(out)],
+                env=env, check=True,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestRoundTrip:
     def test_cap_scenario_end_to_end(self, tmp_path, capsys, monkeypatch):
@@ -423,6 +444,21 @@ class TestExperimentFamilies:
         assert calls == [m for m, h in searches.items() for _ in h]
         for row in rows:
             assert row["search"][-1] == [row["N"], row["epsilon"]]
+
+    def test_one_synthesis_per_degree(self, tmp_path, capsys, monkeypatch):
+        sizes, simulated = [], []
+        sample_at = cli.sample_at
+
+        def spy(c, nodes):
+            sizes.append(len(nodes))
+            return sample_at(c, nodes)
+
+        monkeypatch.setattr(cli, "sample_at", spy)
+        monkeypatch.setattr(cli, "simulate", lambda *a, **k: simulated.append(a))
+        _, rows = self.experiment(tmp_path, capsys)
+        family_sizes = {row["m"]: row["N"] for row in rows}
+        assert sizes == [family_sizes[m] for m in self.M_GRID]
+        assert simulated == []
 
     def test_rows_equal_per_cell_calls(self, tmp_path, capsys):
         filt, rows = self.experiment(tmp_path, capsys)

@@ -19,6 +19,7 @@ from spheredecon import reconstruct
 from spheredecon.reconstruct import (
     _operator,
     design_matrix,
+    filtered_singular_values,
     lsq_solve,
     reconstruct_direct,
     solution_to_json,
@@ -168,7 +169,8 @@ class TestLsqSolve:
         for _ in range(100):
             y = rng.standard_normal(200)
             report = lsq_solve(filt, family, 5, y)
-            rhs = math.sqrt(np.sum(y**2 * family.weights) / report.frame_lower)
+            frame_lower = filtered_singular_values(filt, family, 5)[-1] ** 2
+            rhs = math.sqrt(np.sum(y**2 * family.weights) / frame_lower)
             assert report.solution.l2_norm() <= rhs * (1 + 1e-9)
 
     def test_residual_monotone_in_degree(self, family):
@@ -190,7 +192,8 @@ class TestLsqSolve:
         r0 = lsq_solve(filt, family, 4, clean)
         rb = lsq_solve(filt, family, 4, noisy)
         diff = np.linalg.norm(rb.solution.coeffs - r0.solution.coeffs)
-        assert diff <= beta / math.sqrt(r0.frame_lower) * (1 + 1e-12)
+        frame_lower = filtered_singular_values(filt, family, 4)[-1] ** 2
+        assert diff <= beta / math.sqrt(frame_lower) * (1 + 1e-12)
 
     def test_rank_deficiency_flagged(self):
         # N = 50 puts all nodes on two latitude rings: degree 6 is unresolvable
@@ -247,8 +250,9 @@ class TestGramSolveAgainstSvd:
         report = lsq_solve(filt, fam, m, y)
         assert report.rank == rank and report.full_rank == (rank == sv.size)
         assert rel_diff(report.solution.coeffs, coeffs) <= tol
-        assert report.singular_values[0] == pytest.approx(sv[0], rel=tol)
-        assert report.singular_values[-1] == pytest.approx(sv[-1], rel=tol)
+        filtered = filtered_singular_values(filt, fam, m)
+        assert filtered[0] == pytest.approx(sv[0], rel=tol)
+        assert filtered[-1] == pytest.approx(sv[-1], rel=tol)
         eps = mz_constants(fam, m).epsilon
         assert eps_svd <= eps < eps_svd + 1e-8
 
@@ -268,8 +272,25 @@ class TestGramSolveAgainstSvd:
         assert report.active_degrees == (0, 2, 3, 4)
         assert np.all(report.solution.coeffs[1:4] == 0.0)
         assert rel_diff(report.solution.coeffs, coeffs) <= 1e-12
-        assert report.singular_values.size == sv.size == 22
-        np.testing.assert_allclose(report.singular_values, sv, rtol=1e-12)
+        filtered = filtered_singular_values(filt, family, 4)
+        assert calls == []
+        assert filtered.size == sv.size == 22
+        np.testing.assert_allclose(filtered, sv, rtol=1e-12)
+
+    def test_solve_computes_no_spectrum(self, family, monkeypatch):
+        filt = cap_multipliers(THETA_41, 5)
+        mz_constants(family, 5)
+        calls = {name: record_calls(monkeypatch, np.linalg, name)
+                 for name in ("solve", "eigvalsh", "inv", "svd")}
+        lsq_solve(filt, family, 5, np.ones(200))
+        assert calls == {"solve": [(36, 36)], "eigvalsh": [], "inv": [], "svd": []}
+
+    def test_corrupted_solve_raises(self, family, monkeypatch):
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: 1e3 * solve(a, b))
+        y = np.random.default_rng(22).standard_normal(200)
+        with pytest.raises(RuntimeError, match="stability bound"):
+            lsq_solve(cap_multipliers(THETA_41, 5), family, 5, y)
 
     def test_wide_multiplier_spread_takes_svd_path(self, family, monkeypatch):
         filt = MultiplierFilter(np.array([1.0, 1.0, 1e-13, 1.0]))
@@ -280,6 +301,10 @@ class TestGramSolveAgainstSvd:
         assert calls == [(200, 16)]
         assert rel_diff(report.solution.coeffs, coeffs) <= 1e-12
         assert report.rank == rank
+        # a values-only SVD agrees with the oracle's to rounding in sigma_max
+        filtered = filtered_singular_values(filt, family, 3)
+        assert calls == [(200, 16)] * 2
+        np.testing.assert_allclose(filtered, sv, rtol=0, atol=1e-13 * sv[0])
 
     def test_small_singular_value_under_spread_multipliers(self, family):
         # sigma_min^2 / sigma_max^2 ~ 1e-16 is rounding noise in the eigenvalues
@@ -288,12 +313,13 @@ class TestGramSolveAgainstSvd:
         # the smallest singular value.
         filt = MultiplierFilter(np.array([1.0, 1.0, 1e-8, 1.0, 1.0, 1.0]))
         report = lsq_solve(filt, family, 5, np.ones(200))
+        filtered = filtered_singular_values(filt, family, 5)
         mat, _ = design_matrix(filt, family, 5)
         r = np.linalg.qr(mat, mode="r")
         sigma_min = 1.0 / np.linalg.norm(np.linalg.inv(r), 2)
         assert report.full_rank
-        assert report.singular_values[-1] == pytest.approx(sigma_min, rel=1e-10)
-        assert report.frame_lower == pytest.approx(sigma_min**2, rel=1e-10)
+        assert filtered[-1] == pytest.approx(sigma_min, rel=1e-10)
+        assert filtered[-1] ** 2 == pytest.approx(sigma_min**2, rel=1e-10)
 
 
 def scattered_family():
@@ -324,7 +350,8 @@ class TestSamplingOperator:
         assert (const.A, const.B, const.epsilon) == (fresh_const.A, fresh_const.B,
                                                      fresh_const.epsilon)
         np.testing.assert_array_equal(report.solution.coeffs, fresh.solution.coeffs)
-        np.testing.assert_array_equal(report.singular_values, fresh.singular_values)
+        np.testing.assert_array_equal(filtered_singular_values(filt, fam, 8),
+                                      filtered_singular_values(filt, scattered_family(), 8))
         assert report.residual == fresh.residual
 
     def test_other_degree_replaces_the_slot(self, monkeypatch):
@@ -352,22 +379,30 @@ class TestSamplingOperator:
                 arr[...] = 0.0
 
     def test_partly_active_filter_takes_the_submatrix_eigenvalues(self, monkeypatch):
-        fam = scattered_family()
-        mz_constants(fam, 4)
+        partly = MultiplierFilter(np.array([1.0, 0.0, 1.0, 0.5, 0.25]))
         y = np.ones(300)
         shapes = record_calls(monkeypatch, np.linalg, "eigvalsh")
-        lsq_solve(MultiplierFilter(np.ones(5)), fam, 4, y)
-        # all degrees active: G's cached eigenvalues; two eigensolves for sigma
-        assert shapes == [(25, 25)] * 2
+        fresh = scattered_family()
+        lsq_solve(partly, fresh, 4, y)
+        # a fresh family: the path gate needs eigvalsh(G_act) only, never G's
+        assert shapes == [(22, 22)]
+        assert fresh._operator[3] is None
+        fam = scattered_family()
+        mz_constants(fam, 4)
+        assert shapes == [(22, 22), (25, 25)]
         shapes.clear()
-        lsq_solve(MultiplierFilter(np.array([1.0, 0.0, 1.0, 0.5, 0.25])), fam, 4, y)
-        assert shapes == [(22, 22)] * 3
+        lsq_solve(MultiplierFilter(np.ones(5)), fam, 4, y)
+        # all degrees active: G's cached eigenvalues, no eigensolve
+        assert shapes == []
+        lsq_solve(partly, fam, 4, y)
+        assert shapes == [(22, 22)]
 
 
 class TestSolutionJson:
     def test_fields(self, family):
         report = reconstruct_direct(family, 2, np.ones(200))
-        obj = solution_to_json(report)
+        obj = solution_to_json(report, filtered_singular_values(identity_multipliers(2),
+                                                                family, 2))
         assert obj["m_max"] == 2
         assert len(obj["coeffs"]) == 9
         assert set(obj["report"]) == {
