@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from spheredecon import build_partition, pick_nodes, region_measure
+from spheredecon import SpherePoint, build_partition, pick_nodes, region_measure
 from spheredecon.sphere_geometry import write_nodes_csv, write_partition_json
 
 print("Equal-area partition of S^2")
@@ -37,5 +37,7 @@ write_nodes_csv("nodes_400.csv", fam)
 print("\nwrote partition_400.json and nodes_400.csv")
 
 fam_rand = pick_nodes(p, rule="random_in_region", seed=7)
-inside = all(r.contains(x) for r, x in zip(p.regions, fam_rand.nodes))
+inside = all(
+    r.contains(SpherePoint(t, f)) for r, (t, f) in zip(p.regions, fam_rand.nodes.tolist())
+)
 print(f"random-in-region nodes stay inside their regions: {inside}")

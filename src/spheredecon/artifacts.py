@@ -7,7 +7,9 @@ import os
 import tempfile
 from pathlib import Path
 
-__all__ = ["atomic_write_text", "write_json", "format_float"]
+import numpy as np
+
+__all__ = ["atomic_write_text", "write_json", "write_csv", "format_float"]
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -28,6 +30,13 @@ def atomic_write_text(path, text: str) -> None:
 def write_json(path, obj) -> None:
     """Strict JSON: a NaN or infinity raises ValueError and nothing is written."""
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def write_csv(path, header: str, *columns) -> None:
+    """CSV of equal-length float columns, 17 significant digits per value."""
+    rows = np.column_stack(columns)
+    row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    atomic_write_text(path, header + "\n" + (row * rows.shape[0]) % tuple(rows.ravel().tolist()))
 
 
 def format_float(x: float) -> str:

@@ -6,13 +6,13 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .filters import MultiplierFilter
 from .harmonics import CoefficientVector, block_slice, eval_poly_many
-from .sphere_geometry import MzFamily, SpherePoint, nodes_to_arrays
+from .sphere_geometry import MzFamily, check_nodes
 
 __all__ = [
     "MeasurementSet",
@@ -35,7 +35,7 @@ class MeasurementSet:
     reports cannot silently mix runs.
     """
 
-    nodes: tuple
+    nodes: np.ndarray
     weights: np.ndarray
     y: np.ndarray
     beta: float = 0.0
@@ -43,11 +43,14 @@ class MeasurementSet:
     truth_ref: Optional[dict] = None
 
     def __post_init__(self) -> None:
+        nodes = np.asarray(self.nodes, dtype=float)
         w = np.asarray(self.weights, dtype=float)
         y = np.asarray(self.y, dtype=float)
+        check_nodes(nodes)
+        object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "y", y)
-        if not (len(self.nodes) == w.size == y.size):
+        if not (len(nodes) == w.size == y.size):
             raise ValueError("nodes, weights and y must have equal lengths")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
@@ -65,12 +68,12 @@ def apply_multiplier(filt: MultiplierFilter, c: CoefficientVector) -> Coefficien
     return CoefficientVector(c.m_max, out)
 
 
-def sample_at(c: CoefficientVector, nodes: Sequence[SpherePoint]) -> np.ndarray:
-    """Pointwise values of the synthesized polynomial at the nodes."""
-    if len(nodes) == 0:
+def sample_at(c: CoefficientVector, nodes: np.ndarray) -> np.ndarray:
+    """Pointwise values of the synthesized polynomial at (N, 2) (theta, phi) nodes."""
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.size == 0:
         return np.empty(0)
-    thetas, phis = nodes_to_arrays(nodes)
-    return eval_poly_many(c, thetas, phis)
+    return eval_poly_many(c, nodes[:, 0], nodes[:, 1])
 
 
 def add_noise(values: np.ndarray, beta: float, seed: Optional[int] = None) -> np.ndarray:
@@ -108,8 +111,8 @@ def simulate(
     clean = sample_at(filtered, fam.nodes)
     y = add_noise(clean, beta, seed)
     return MeasurementSet(
-        nodes=tuple(fam.nodes),
-        weights=fam.weights.copy(),
+        nodes=fam.nodes,
+        weights=fam.weights,
         y=y,
         beta=beta,
         seed=seed,
@@ -119,12 +122,9 @@ def simulate(
 
 def write_measurements_csv(path, ms: MeasurementSet, sidecar_path=None) -> None:
     """Measurement CSV (theta,phi,weight,y) plus a JSON sidecar with metadata."""
-    from .artifacts import atomic_write_text, write_json
+    from .artifacts import write_csv, write_json
 
-    lines = ["theta,phi,weight,y"]
-    for p, w, v in zip(ms.nodes, ms.weights, ms.y):
-        lines.append(f"{p.theta:.17g},{p.phi:.17g},{w:.17g},{v:.17g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, "theta,phi,weight,y", ms.nodes[:, 0], ms.nodes[:, 1], ms.weights, ms.y)
     if sidecar_path is not None:
         write_json(
             sidecar_path,
@@ -133,30 +133,41 @@ def write_measurements_csv(path, ms: MeasurementSet, sidecar_path=None) -> None:
 
 
 def read_measurements_csv(path, sidecar_path=None) -> MeasurementSet:
-    rows = []
+    """Measurements from a CSV of ``write_measurements_csv``, parsed in one call.
+
+    Blank lines are skipped but counted.  A row that is not four finite
+    numbers, or whose (theta, phi mod 2*pi) is off the sphere, raises
+    ValueError naming the file and the line.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "theta,phi,weight,y":
             raise ValueError(f"unexpected measurement CSV header: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
+        numbered = [(lineno, line) for lineno, line in enumerate(fh, start=2) if line.strip()]
+    if not numbered:
+        raise ValueError(f"{path}: no measurement rows")
+    try:
+        data = np.loadtxt([line for _, line in numbered], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != 4:  # find the line at fault
+        for lineno, line in numbered:
             fields = line.split(",")
             if len(fields) != 4:
                 raise ValueError(f"{path}: line {lineno} has {len(fields)} fields, expected 4")
-            row = [float(v) for v in fields]
-            if not all(math.isfinite(v) for v in row):
-                raise ValueError(f"{path}: line {lineno} holds a non-finite value")
-            rows.append(row)
-    if not rows:
-        raise ValueError(f"{path}: no measurement rows")
-    data = np.asarray(rows, dtype=float)
+            try:
+                np.loadtxt([line], delimiter=",", comments=None)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno} holds a field that is not a number") from None
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: line {numbered[bad[0]][0]} holds a non-finite value")
+    nodes = np.column_stack([data[:, 0], data[:, 1] % (2 * math.pi)])
+    check_nodes(nodes, where=lambda i: f"{path}: line {numbered[i][0]}")
     meta = {"beta": 0.0, "seed": None, "truth_ref": None}
     if sidecar_path is not None:
         with open(sidecar_path) as fh:
             meta.update(json.load(fh))
-    nodes = tuple(SpherePoint(t, p % (2 * math.pi)) for t, p in data[:, :2])
     return MeasurementSet(
         nodes=nodes,
         weights=data[:, 2],

@@ -38,7 +38,7 @@ import numpy as np
 
 from .filters import MultiplierFilter, identity_multipliers
 from .harmonics import CoefficientVector, basis_matrix, num_coeffs
-from .sphere_geometry import MzFamily, nodes_to_arrays
+from .sphere_geometry import MzFamily
 
 __all__ = ["LsqReport", "design_matrix", "filtered_singular_values", "lsq_solve",
            "reconstruct_direct", "solution_to_json"]
@@ -74,8 +74,7 @@ def _operator(fam: MzFamily, m: int) -> tuple:
     another degree replaces it.
     """
     if fam._operator is None or fam._operator[0] != m:
-        thetas, phis = nodes_to_arrays(fam.nodes)
-        bw = basis_matrix(m, thetas, phis)
+        bw = basis_matrix(m, fam.nodes[:, 0], fam.nodes[:, 1])
         bw *= np.sqrt(fam.weights)[:, None]
         gram = bw.T @ bw
         for arr in (bw, gram):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "build_partition",
     "region_measure",
     "pick_nodes",
+    "check_nodes",
     "nodes_to_arrays",
     "write_nodes_csv",
     "partition_to_json",
@@ -93,9 +94,14 @@ class Region:
 
     def area_center(self) -> SpherePoint:
         """Node at the area-median colatitude and mid longitude."""
-        ct = 0.5 * (math.cos(self.theta_lo) + math.cos(self.theta_hi))
         phi = 0.5 * (self.phi_lo + self.phi_hi)
-        return SpherePoint(math.acos(max(-1.0, min(1.0, ct))), phi % (2.0 * math.pi))
+        return SpherePoint(_area_median(self.theta_lo, self.theta_hi), phi % (2.0 * math.pi))
+
+
+def _area_median(theta_lo: float, theta_hi: float) -> float:
+    """Colatitude that halves the area of the band [theta_lo, theta_hi]."""
+    ct = 0.5 * (math.cos(theta_lo) + math.cos(theta_hi))
+    return math.acos(max(-1.0, min(1.0, ct)))
 
 
 def region_measure(r: Region) -> float:
@@ -107,50 +113,47 @@ def region_measure(r: Region) -> float:
     )
 
 
-def _enclosing_cap_radius(r: Region) -> float:
-    """Radius of a small spherical cap containing the region.
+def _enclosing_cap_radius(t_lo: float, t_hi: float, p_lo: float, p_hi: float) -> float:
+    """Radius of a small spherical cap containing the box [t_lo, t_hi] x [p_lo, p_hi].
 
     Polar regions are covered by the cap around their pole; other regions by
     the cap centered at the box midpoint, whose farthest region point is a
     corner or a critical point on a meridian edge.
     """
-    if r.theta_lo == 0.0:
-        return r.theta_hi
-    if r.theta_hi == math.pi:
-        return math.pi - r.theta_lo
-    tc = 0.5 * (r.theta_lo + r.theta_hi)
-    pc = 0.5 * (r.phi_lo + r.phi_hi)
-    center = SpherePoint(tc, pc % (2.0 * math.pi))
+    if t_lo == 0.0:
+        return t_hi
+    if t_hi == math.pi:
+        return math.pi - t_lo
+    tc = 0.5 * (t_lo + t_hi)
+    pc = 0.5 * (p_lo + p_hi)
     best = 0.0
-    for phi in (r.phi_lo, r.phi_hi):
+    for phi in (p_lo, p_hi):
         dphi = abs(phi - pc)
-        for theta in (r.theta_lo, r.theta_hi):
+        # the corners, and the critical colatitude on the meridian edge
+        # (inside the box only for wedges wider than pi, where cos(dphi) < 0)
+        tstar = math.atan2(math.sin(tc) * math.cos(dphi), math.cos(tc)) + math.pi
+        for theta in (t_lo, t_hi, tstar) if t_lo < tstar < t_hi else (t_lo, t_hi):
             cosd = math.cos(tc) * math.cos(theta) + math.sin(tc) * math.sin(
                 theta
             ) * math.cos(dphi)
             best = max(best, math.acos(max(-1.0, min(1.0, cosd))))
-        # critical colatitude on the meridian edge (only matters for very
-        # wide wedges where cos(dphi) < 0)
-        psi = math.atan2(math.sin(tc) * math.cos(dphi), math.cos(tc))
-        tstar = psi + math.pi
-        if r.theta_lo < tstar < r.theta_hi:
-            q = SpherePoint(tstar, phi % (2.0 * math.pi))
-            best = max(best, geodesic_distance(center, q))
     return best
 
 
-def _inscribed_cap_radius(r: Region) -> float:
-    """Radius of a spherical cap centered at the area center inside the region."""
-    c = r.area_center()
-    rad = min(c.theta - r.theta_lo, r.theta_hi - c.theta)
-    half_wedge = 0.5 * (r.phi_hi - r.phi_lo)
+def _inscribed_cap_radius(t_lo: float, t_hi: float, p_lo: float, p_hi: float) -> float:
+    """Radius of a spherical cap centered at the area center inside the box."""
+    tc = _area_median(t_lo, t_hi)
+    rad = min(tc - t_lo, t_hi - tc)
+    half_wedge = 0.5 * (p_hi - p_lo)
     if half_wedge < math.pi / 2:
-        rad = min(rad, math.asin(math.sin(c.theta) * math.sin(half_wedge)))
-    if r.theta_lo == 0.0:
-        rad = min(rad, r.theta_hi - c.theta)
-    if r.theta_hi == math.pi:
-        rad = min(rad, c.theta - r.theta_lo)
+        rad = min(rad, math.asin(math.sin(tc) * math.sin(half_wedge)))
     return max(rad, 0.0)
+
+
+def _wedge_bounds(nw: int) -> tuple[np.ndarray, np.ndarray]:
+    """Longitude bounds of the nw wedges of a band: [2 pi (j-1)/nw, 2 pi j/nw], j = 1..nw."""
+    j = np.arange(1, nw + 1)
+    return 2.0 * math.pi * (j - 1) / nw, 2.0 * math.pi * j / nw
 
 
 @dataclass(frozen=True)
@@ -159,6 +162,8 @@ class EqualAreaPartition:
 
     ``ell`` holds the wedge counts ell_0 .. ell_{s+1} (ell_0 = ell_{s+1} = 25)
     and ``theta_bounds`` the band boundaries theta_{-1} = 0 .. theta_{s+1} = pi.
+    Band k is cut into ell_k congruent wedges (see ``_wedge_bounds``); the
+    bands describe every region, so none is stored.
     """
 
     N: int
@@ -167,9 +172,18 @@ class EqualAreaPartition:
     delta_theta: float
     ell: tuple
     theta_bounds: tuple
-    regions: tuple
     max_cap_radius: float
     min_inscribed_radius: float
+
+    @property
+    def regions(self) -> tuple:
+        """The N regions, band by band and by wedge, built on each access."""
+        tb = self.theta_bounds
+        regions = []
+        for k, nw in enumerate(self.ell):
+            bounds = zip(*(b.tolist() for b in _wedge_bounds(nw)))
+            regions += [Region(tb[k], tb[k + 1], lo, hi, k, j) for j, (lo, hi) in enumerate(bounds, 1)]
+        return tuple(regions)
 
 
 def build_rounding_sequence(y: Sequence[float], symmetric: bool = True) -> list[int]:
@@ -249,28 +263,18 @@ def build_partition(N: int) -> EqualAreaPartition:
         math.acos(max(-1.0, min(1.0, c))) for c in cos_bounds[1:-1]
     ] + [math.pi]
 
-    regions = []
-    for k in range(s + 2):
-        nw = ell[k]
-        if nw == 0:
-            continue
-        t_lo, t_hi = theta_bounds[k], theta_bounds[k + 1]
-        for j in range(1, nw + 1):
-            regions.append(
-                Region(
-                    theta_lo=t_lo,
-                    theta_hi=t_hi,
-                    phi_lo=2.0 * math.pi * (j - 1) / nw,
-                    phi_hi=2.0 * math.pi * j / nw,
-                    band_index=k,
-                    wedge_index=j,
-                )
-            )
-    if len(regions) != N:
-        raise ValueError(f"constructed {len(regions)} regions, expected {N}")
-
-    max_cap = max(_enclosing_cap_radius(r) for r in regions)
-    min_inscribed = min(_inscribed_cap_radius(r) for r in regions)
+    # The wedges of a band differ only by the rounding of their bounds.  The
+    # enclosing radius grows with the half-widths |phi - pc| (pc the mid
+    # longitude) and the inscribed one with the width, so the wedges with the
+    # largest half-widths and the narrowest one attain the band's radii
+    # (bitwise, as the per-region oracle in the tests checks).
+    boxes = []
+    for nw, t_lo, t_hi in zip(ell, theta_bounds, theta_bounds[1:]):
+        if nw:
+            lo, hi = _wedge_bounds(nw)
+            pc = 0.5 * (lo + hi)
+            picks = {np.argmax(pc - lo), np.argmax(hi - pc), np.argmin(hi - lo)}
+            boxes += [(t_lo, t_hi, lo[j].item(), hi[j].item()) for j in picks]
     return EqualAreaPartition(
         N=N,
         theta0=theta0,
@@ -278,9 +282,8 @@ def build_partition(N: int) -> EqualAreaPartition:
         delta_theta=delta_theta,
         ell=tuple(ell),
         theta_bounds=tuple(theta_bounds),
-        regions=tuple(regions),
-        max_cap_radius=max_cap,
-        min_inscribed_radius=min_inscribed,
+        max_cap_radius=max(_enclosing_cap_radius(*b) for b in boxes),
+        min_inscribed_radius=min(_inscribed_cap_radius(*b) for b in boxes),
     )
 
 
@@ -289,26 +292,44 @@ class MzFamily:
     """Sampling nodes and weights, one node per partition region.
 
     Frame constants are measured, not stored: see certify.mz_constants.
-    Nodes and weights are immutable (a tuple and a read-only copy), so the
-    sampling operator that reconstruct builds for one degree can be kept on
-    the family without going stale.
+    ``nodes`` is an (N, 2) array of (theta, phi) rows.  Nodes and weights
+    are immutable (read-only copies), so the sampling operator that
+    reconstruct builds for one degree can be kept on the family without
+    going stale.
     """
 
-    nodes: tuple
+    nodes: np.ndarray
     weights: np.ndarray
     _operator: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        nodes = np.array(self.nodes, dtype=float)
         w = np.array(self.weights, dtype=float)
-        w.flags.writeable = False
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+        check_nodes(nodes)
+        for arr in (nodes, w):
+            arr.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", w)
-        if len(self.nodes) != w.size:
+        if len(nodes) != w.size:
             raise ValueError("nodes and weights must have the same length")
         if np.any(w <= 0):
             raise ValueError("weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
+
+
+def check_nodes(nodes: np.ndarray, where=lambda i: f"node {i}") -> None:
+    """ValueError unless nodes is an (N, 2) array of (theta, phi) rows in
+    [0, pi] x [0, 2*pi); the message names row i as where(i)."""
+    if nodes.ndim != 2 or nodes.shape[1] != 2:
+        raise ValueError(f"nodes must be an (N, 2) array of (theta, phi), got shape {nodes.shape}")
+    theta, phi = nodes[:, 0], nodes[:, 1]
+    bad = np.flatnonzero(~((0.0 <= theta) & (theta <= math.pi) & (0.0 <= phi) & (phi < 2.0 * math.pi)))
+    if bad.size:
+        raise ValueError(
+            f"{where(bad[0])}: (theta, phi) = {tuple(nodes[bad[0]].tolist())} is outside "
+            "[0, pi] x [0, 2*pi)"
+        )
 
 
 def pick_nodes(
@@ -320,40 +341,40 @@ def pick_nodes(
 
     rule "area_center": deterministic node at the area-median colatitude and
     mid longitude.  rule "random_in_region": area-uniform draw inside each
-    region from the seeded generator (seed required, runs are reproducible).
+    region from the seeded generator (seed required, runs are reproducible),
+    drawn region by region, cos(theta) before phi.
     """
+    ell, tb = partition.ell, partition.theta_bounds
+    phi_lo, phi_hi = (np.concatenate(b) for b in zip(*map(_wedge_bounds, ell)))
     if rule == "area_center":
-        nodes = [r.area_center() for r in partition.regions]
+        theta = np.repeat([_area_median(lo, hi) for lo, hi in zip(tb, tb[1:])], ell)
+        phi = 0.5 * (phi_lo + phi_hi)
     elif rule == "random_in_region":
         if seed is None:
             raise ValueError("random_in_region requires a seed")
-        rng = np.random.default_rng(seed)
-        nodes = []
-        for r in partition.regions:
-            u = rng.uniform(math.cos(r.theta_hi), math.cos(r.theta_lo))
-            phi = rng.uniform(r.phi_lo, r.phi_hi)
-            nodes.append(SpherePoint(math.acos(max(-1.0, min(1.0, u))), phi % (2 * math.pi)))
+        cos_b = [math.cos(t) for t in tb]
+        draw = np.random.default_rng(seed).uniform(
+            np.column_stack([np.repeat(cos_b[1:], ell), phi_lo]),
+            np.column_stack([np.repeat(cos_b[:-1], ell), phi_hi]),
+        )
+        theta = np.array(list(map(math.acos, np.clip(draw[:, 0], -1.0, 1.0).tolist())))
+        phi = draw[:, 1]
     else:
         raise ValueError(f"unknown node rule {rule!r}")
-    weights = np.full(partition.N, 1.0 / partition.N)
-    return MzFamily(nodes=tuple(nodes), weights=weights)
+    nodes = np.column_stack([theta, phi % (2 * math.pi)])
+    return MzFamily(nodes=nodes, weights=np.full(partition.N, 1.0 / partition.N))
 
 
-def nodes_to_arrays(nodes: Iterable[SpherePoint]) -> tuple[np.ndarray, np.ndarray]:
-    """Split a node list into (theta, phi) arrays."""
-    thetas = np.array([p.theta for p in nodes])
-    phis = np.array([p.phi for p in nodes])
-    return thetas, phis
+def nodes_to_arrays(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (theta, phi) columns of an (N, 2) node array."""
+    return nodes[:, 0], nodes[:, 1]
 
 
 def write_nodes_csv(path, fam: MzFamily) -> None:
     """Node CSV with header theta,phi,weight, 17 significant digits."""
-    from .artifacts import atomic_write_text
+    from .artifacts import write_csv
 
-    lines = ["theta,phi,weight"]
-    for p, w in zip(fam.nodes, fam.weights):
-        lines.append(f"{p.theta:.17g},{p.phi:.17g},{w:.17g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, "theta,phi,weight", fam.nodes[:, 0], fam.nodes[:, 1], fam.weights)
 
 
 def partition_to_json(p: EqualAreaPartition) -> dict:

@@ -1,5 +1,6 @@
 """Command-line front-end: artifacts, determinism, error reporting."""
 
+import hashlib
 import json
 import math
 import os
@@ -213,8 +214,13 @@ class TestMalformedMeasurements:
             ("theta,phi,weight,y\n0.5,1.0,1.0\n", "line 2"),
             ("theta,phi,weight,y\n0.5,1.0,0.5,1.0\n1.0,2.0,0.5,nan\n", "line 3"),
             ("theta,phi,weight,y\n0.5,1.0,inf,1.0\n", "line 2"),
+            ("theta,phi,weight,y\n4,1.0,1.0,1.0\n", "line 2"),
+            ("theta,phi,weight,y\n0.5,abc,1.0,1.0\n", "line 2"),
+            ("theta,phi,weight,y\n0.5,1.0,0.5,1.0\n0.5,1.0,0.5,1.0,2.0\n", "line 3"),
+            ("theta,phi,weight,y\n0.5,1.0,0.5,1.0\n\n  \n-0.5,1.0,0.5,1.0\n", "line 5"),
         ],
-        ids=["header_only", "short_row", "nan_y", "inf_weight"],
+        ids=["header_only", "short_row", "nan_y", "inf_weight", "theta_4", "abc",
+             "five_fields", "bad_after_blank"],
     )
     def test_reconstruct_reports_json_error(self, body, where, tmp_path, capsys):
         filt = tmp_path / "f.json"
@@ -232,6 +238,41 @@ class TestMalformedMeasurements:
         assert error["type"] == "ValueError"
         assert str(meas) in error["error"] and where in error["error"]
         assert not sol.exists()
+
+
+class TestArtifactBytes:
+    """sha256 of artifacts as the per-node code wrote them before the
+    partition was held as bands and the nodes as one array."""
+
+    CAP = ["filter", "--kind", "cap", "--theta0", 0.3, "--m-max", 12]
+    SIMULATE = ["simulate", "--truth-m-max", 10, "--truth-sigma", 2.0, "--truth-seed", 5,
+                "--n", 400, "--rule", "random_in_region", "--node-seed", 3, "--beta", 0.01,
+                "--seed", 6, "--sidecar", "meas.json"]
+
+    @pytest.mark.parametrize(
+        "argv, name, digest",
+        [
+            (["partition", "--n", 400, "--out-json", "part.json", "--out-csv", "part.csv"],
+             "part.json", "0d80d0035e6ba079664654f5f8e7ee251c13282df237065266a62d330375aea5"),
+            (["partition", "--n", 400, "--out-json", "part.json", "--out-csv", "part.csv"],
+             "part.csv", "f032223126958c0d15e223a2ecd4a50480f19814cf103860c3701365001e7f1f"),
+            (["nodes", "--n", 400, "--out", "ac.csv"],
+             "ac.csv", "f032223126958c0d15e223a2ecd4a50480f19814cf103860c3701365001e7f1f"),
+            (["nodes", "--n", 400, "--rule", "random_in_region", "--node-seed", 3, "--out", "rr.csv"],
+             "rr.csv", "34216d0947720a3a707f3e54ca3c82ac8bc0e43541f2e5cb7753b65709fa574d"),
+            (SIMULATE + ["--filter", "cap.json", "--out", "meas.csv"],
+             "meas.csv", "77944663c1323afaecfcce9d7085e7295a5777b56e9162a5f4b7cb75e88072a6"),
+            (SIMULATE + ["--filter", "cap.json", "--out", "meas.csv"],
+             "meas.json", "b6bb2f7a9a1c1d9fc17918bd08c9bccfbe39f2889943f97f68475e55cc717b01"),
+        ],
+        ids=["partition_json", "partition_csv", "nodes_area_center", "nodes_random",
+             "simulate_csv", "simulate_sidecar"],
+    )
+    def test_sha256(self, argv, name, digest, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(self.CAP + ["--out", "cap.json"], capsys)[0] == 0
+        assert run(argv, capsys)[0] == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 class TestStrictJson:

@@ -23,7 +23,8 @@ from spheredecon.harmonics import (
     random_poly,
     sobolev_norm,
 )
-from spheredecon.sphere_geometry import SpherePoint, build_partition, pick_nodes
+from spheredecon.reconstruct import lsq_solve
+from spheredecon.sphere_geometry import MzFamily, Region, SpherePoint, build_partition, pick_nodes
 
 
 @pytest.fixture(scope="module")
@@ -88,15 +89,15 @@ class TestSampleAt:
 
     def test_matches_pointwise_oracle(self):
         c = random_poly(4, sigma=1.0, seed=9)
-        pts = [SpherePoint(0.3, 0.1), SpherePoint(0.0, 0.0), SpherePoint(2.9, 5.5)]
+        pts = np.array([[0.3, 0.1], [0.0, 0.0], [2.9, 5.5]])
         vals = sample_at(c, pts)
         for v, p in zip(vals, pts):
-            assert v == pytest.approx(eval_poly(c, p), rel=1e-13, abs=1e-13)
+            assert v == pytest.approx(eval_poly(c, SpherePoint(*p)), rel=1e-13, abs=1e-13)
 
     def test_degree_one_zonal_at_pole(self):
         # coefficient vector with only the (1, 2) entry: the polar-axis harmonic
         c = CoefficientVector(1, np.eye(4)[index_of(1, 2)])
-        val = sample_at(c, [SpherePoint(0.0, 0.0)])[0]
+        val = sample_at(c, np.array([[0.0, 0.0]]))[0]
         assert val == pytest.approx(math.sqrt(3.0), rel=1e-13)
 
 
@@ -163,7 +164,7 @@ class TestMeasurementIO:
         assert back.beta == ms.beta
         assert back.truth_ref == ms.truth_ref
         assert all(
-            a.theta == b.theta and a.phi == b.phi for a, b in zip(back.nodes, ms.nodes)
+            a[0] == b[0] and a[1] == b[1] for a, b in zip(back.nodes, ms.nodes)
         )
 
     def test_header_validation(self, tmp_path):
@@ -175,7 +176,34 @@ class TestMeasurementIO:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             MeasurementSet(
-                nodes=(SpherePoint(0.1, 0.0),),
+                nodes=np.array([[0.1, 0.0]]),
                 weights=np.array([0.5, 0.5]),
                 y=np.array([1.0, 2.0]),
             )
+
+
+class TestNoPerNodeObjects:
+    @pytest.mark.parametrize("rule, seed", [("area_center", None), ("random_in_region", 4)])
+    def test_pipeline_constructs_no_point_or_region(self, rule, seed, tmp_path, monkeypatch):
+        counts = {SpherePoint: 0, Region: 0}
+        for cls in counts:
+            def counting(self, cls=cls, post_init=cls.__post_init__):
+                counts[cls] += 1
+                post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        filt = identity_multipliers(8)
+        fam = pick_nodes(build_partition(4356), rule=rule, seed=seed)
+        ms = simulate(random_poly(8, sigma=1.0, seed=16), filt, fam, beta=1e-3, seed=17)
+        write_measurements_csv(tmp_path / "meas.csv", ms)
+        back = read_measurements_csv(tmp_path / "meas.csv")
+        lsq_solve(filt, MzFamily(nodes=back.nodes, weights=back.weights), 8, back.y)
+        assert counts == {SpherePoint: 0, Region: 0}
+        # the spies see constructions where there are some
+        SpherePoint(0.1, 0.2)
+        assert len(build_partition(64).regions) == 64
+        assert counts == {SpherePoint: 1, Region: 64}
+
+    def test_simulate_shares_the_family_arrays(self, family):
+        ms = simulate(random_poly(3, sigma=1.0, seed=18), identity_multipliers(3), family)
+        assert ms.nodes is family.nodes and ms.weights is family.weights

@@ -25,7 +25,7 @@ from spheredecon.reconstruct import (
     solution_to_json,
 )
 from spheredecon.certify import mz_constants
-from spheredecon.sphere_geometry import MzFamily, SpherePoint, build_partition, pick_nodes
+from spheredecon.sphere_geometry import MzFamily, build_partition, pick_nodes
 
 THETA_41 = 2 * math.pi / 41
 
@@ -366,7 +366,7 @@ class TestSamplingOperator:
         assert (again.A, again.B) == (first.A, first.B)
 
     def test_nodes_weights_and_operator_read_only(self):
-        nodes = [SpherePoint(0.5, 1.0), SpherePoint(2.0, 4.0)]
+        nodes = [(0.5, 1.0), (2.0, 4.0)]
         weights = np.array([0.5, 0.5])
         fam = MzFamily(nodes=nodes, weights=weights)
         weights[0] = 0.25
@@ -374,6 +374,8 @@ class TestSamplingOperator:
         assert fam.weights[0] == 0.5 and len(fam.nodes) == 2
         with pytest.raises(ValueError, match="read-only"):
             fam.weights[0] = 0.25
+        with pytest.raises(ValueError, match="read-only"):
+            fam.nodes[0, 0] = 0.25
         for arr in _operator(fam, 0):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0.0

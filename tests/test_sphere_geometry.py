@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheredecon.sphere_geometry import (
     MzFamily,
@@ -238,15 +240,15 @@ class TestPickNodes:
         p = build_partition(144)
         fam = pick_nodes(p)
         for node, region in zip(fam.nodes, p.regions):
-            assert region.contains(node)
+            assert region.contains(SpherePoint(*node))
 
     def test_area_center_formula(self):
         p = build_partition(100)
         r = p.regions[30]
-        node = pick_nodes(p).nodes[30]
+        theta, phi = pick_nodes(p).nodes[30]
         expected_theta = math.acos((math.cos(r.theta_lo) + math.cos(r.theta_hi)) / 2)
-        assert node.theta == pytest.approx(expected_theta, abs=1e-14)
-        assert node.phi == pytest.approx(0.5 * (r.phi_lo + r.phi_hi), abs=1e-14)
+        assert theta == pytest.approx(expected_theta, abs=1e-14)
+        assert phi == pytest.approx(0.5 * (r.phi_lo + r.phi_hi), abs=1e-14)
 
     def test_weights_sum_to_one(self):
         for N in (50, 100, 500):
@@ -258,10 +260,10 @@ class TestPickNodes:
         fam1 = pick_nodes(p, rule="random_in_region", seed=5)
         fam2 = pick_nodes(p, rule="random_in_region", seed=5)
         assert all(
-            a.theta == b.theta and a.phi == b.phi for a, b in zip(fam1.nodes, fam2.nodes)
+            a[0] == b[0] and a[1] == b[1] for a, b in zip(fam1.nodes, fam2.nodes)
         )
         for node, region in zip(fam1.nodes, p.regions):
-            assert region.contains(node)
+            assert region.contains(SpherePoint(*node))
 
     def test_random_rule_requires_seed(self):
         with pytest.raises(ValueError, match="seed"):
@@ -274,9 +276,123 @@ class TestPickNodes:
 
 class TestMzFamily:
     def test_rejects_unnormalized_weights(self):
-        nodes = (SpherePoint(0.1, 0.0), SpherePoint(0.2, 0.0))
+        nodes = np.array([[0.1, 0.0], [0.2, 0.0]])
         with pytest.raises(ValueError):
             MzFamily(nodes=nodes, weights=np.array([0.5, 0.4]))
+
+    @pytest.mark.parametrize(
+        "theta, phi",
+        [(-0.1, 0.0), (math.pi + 1e-9, 0.0), (0.5, -1e-9), (0.5, 2 * math.pi), (math.nan, 0.0)],
+    )
+    def test_rejects_nodes_off_the_sphere(self, theta, phi):
+        nodes = np.array([[0.1, 0.0], [theta, phi]])
+        with pytest.raises(ValueError, match="node 1"):
+            MzFamily(nodes=nodes, weights=np.array([0.5, 0.5]))
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"\(N, 2\)"):
+            MzFamily(nodes=np.array([0.1, 0.2]), weights=np.array([0.5, 0.5]))
+
+
+# ---------------------------------------------------------------- oracle
+# The per-region construction that the band-wise build_partition and
+# pick_nodes replaced: one Region per region, radii region by region, nodes
+# one SpherePoint at a time.  The band-wise code must match it bitwise.
+
+
+def _oracle_enclosing(r):
+    if r.theta_lo == 0.0:
+        return r.theta_hi
+    if r.theta_hi == math.pi:
+        return math.pi - r.theta_lo
+    tc = 0.5 * (r.theta_lo + r.theta_hi)
+    pc = 0.5 * (r.phi_lo + r.phi_hi)
+    center = SpherePoint(tc, pc % (2.0 * math.pi))
+    best = 0.0
+    for phi in (r.phi_lo, r.phi_hi):
+        dphi = abs(phi - pc)
+        for theta in (r.theta_lo, r.theta_hi):
+            cosd = math.cos(tc) * math.cos(theta) + math.sin(tc) * math.sin(
+                theta
+            ) * math.cos(dphi)
+            best = max(best, math.acos(max(-1.0, min(1.0, cosd))))
+        psi = math.atan2(math.sin(tc) * math.cos(dphi), math.cos(tc))
+        tstar = psi + math.pi
+        if r.theta_lo < tstar < r.theta_hi:
+            q = SpherePoint(tstar, phi % (2.0 * math.pi))
+            best = max(best, geodesic_distance(center, q))
+    return best
+
+
+def _oracle_inscribed(r):
+    c = r.area_center()
+    rad = min(c.theta - r.theta_lo, r.theta_hi - c.theta)
+    half_wedge = 0.5 * (r.phi_hi - r.phi_lo)
+    if half_wedge < math.pi / 2:
+        rad = min(rad, math.asin(math.sin(c.theta) * math.sin(half_wedge)))
+    if r.theta_lo == 0.0:
+        rad = min(rad, r.theta_hi - c.theta)
+    if r.theta_hi == math.pi:
+        rad = min(rad, c.theta - r.theta_lo)
+    return max(rad, 0.0)
+
+
+def _oracle(N, node_seed):
+    """(partition JSON, area-center nodes, random nodes) from the per-region loop."""
+    theta0 = math.acos(1.0 - 50.0 / N)
+    s = math.floor(math.sqrt(math.pi * N) / 2.0)
+    s = s if s % 2 == 1 else s - 1
+    delta_theta = (math.pi - 2.0 * theta0) / s
+    ell = [25] + build_rounding_sequence(rounding_y_sequence(N)) + [25]
+    cos_bounds = 1.0 - 2.0 * np.concatenate([[0], np.cumsum(ell)]) / N
+    theta_bounds = [0.0] + [
+        math.acos(max(-1.0, min(1.0, c))) for c in cos_bounds[1:-1]
+    ] + [math.pi]
+    regions = []
+    for k in range(s + 2):
+        nw = ell[k]
+        for j in range(1, nw + 1):
+            regions.append(Region(theta_bounds[k], theta_bounds[k + 1],
+                                  2.0 * math.pi * (j - 1) / nw, 2.0 * math.pi * j / nw, k, j))
+    obj = {
+        "N": N, "theta0": theta0, "s": s, "delta_theta": delta_theta, "ell": ell,
+        "theta_bounds": theta_bounds,
+        "max_cap_radius": max(_oracle_enclosing(r) for r in regions),
+        "min_inscribed_radius": min(_oracle_inscribed(r) for r in regions),
+    }
+    centers = [r.area_center() for r in regions]
+    rng = np.random.default_rng(node_seed)
+    drawn = []
+    for r in regions:
+        u = rng.uniform(math.cos(r.theta_hi), math.cos(r.theta_lo))
+        phi = rng.uniform(r.phi_lo, r.phi_hi)
+        drawn.append(SpherePoint(math.acos(max(-1.0, min(1.0, u))), phi % (2 * math.pi)))
+    return obj, regions, centers, drawn
+
+
+def _assert_matches_oracle(N):
+    oracle, regions, centers, drawn = _oracle(N, node_seed=11)
+    p = build_partition(N)
+    assert p.max_cap_radius == oracle["max_cap_radius"]
+    assert p.min_inscribed_radius == oracle["min_inscribed_radius"]
+    assert json.dumps(partition_to_json(p)) == json.dumps(oracle)
+    assert p.regions == tuple(regions)
+    for fam, points in ((pick_nodes(p), centers),
+                        (pick_nodes(p, rule="random_in_region", seed=11), drawn)):
+        assert np.array_equal(fam.nodes[:, 0], [q.theta for q in points])
+        assert np.array_equal(fam.nodes[:, 1], [q.phi for q in points])
+        assert np.array_equal(fam.weights, np.full(N, 1.0 / N))
+
+
+class TestBandwiseMatchesPerRegionOracle:
+    @pytest.mark.parametrize("N", [50, 51, 64, 100, 4356, 16900])
+    def test_grid(self, N):
+        _assert_matches_oracle(N)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(min_value=50, max_value=20_000))
+    def test_random_sizes(self, N):
+        _assert_matches_oracle(N)
 
 
 class TestExports:
@@ -290,7 +406,7 @@ class TestExports:
         theta, phi, w = (float(v) for v in lines[1].split(","))
         assert w == 1 / 64
         # 17 significant digits round-trip the node exactly
-        assert theta == fam.nodes[0].theta and phi == fam.nodes[0].phi
+        assert theta == fam.nodes[0, 0] and phi == fam.nodes[0, 1]
 
     def test_partition_json_fields_and_determinism(self, tmp_path):
         p = build_partition(100)
