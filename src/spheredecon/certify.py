@@ -4,11 +4,17 @@ A sampling family is Marcinkiewicz-Zygmund for degree m when the weighted
 sum of squared samples of every polynomial of degree <= m stays between
 A ||q||^2 and B ||q||^2 with 0 < A <= 1 <= B.  Those extreme ratios are the
 extreme eigenvalues of the Gram matrix G = B_w^T B_w of the weighted sampling
-matrix B_w, measured here by a dense eigensolve of G.  The reported A and B
-are widened by delta = eps * (N trace G + (m+1)^2 lambda_max), eps the
-machine epsilon: delta bounds the rounding error of forming G and of the
-eigensolve (Weyl's inequality), so [A, B] encloses the extreme squared
-singular values of B_w and epsilon never understates them.  From
+matrix B_w, measured here by dense eigensolves of the blocks the sampling
+operator holds G in (its cosine and sine halves on ring families, else G).
+The reported A and B are widened by
+delta = eps * (N trace G + (m+1)^2 lambda_max) + remainder + cross, eps the
+machine epsilon.  The first term bounds the rounding error of forming G,
+each entry a sum of at most N products whichever way the rings and rows are
+grouped, and of the eigensolves; remainder is the Frobenius norm of the
+off-diagonal trig Gram entries of the wide rings that the per-order blocks
+leave out, and cross the Frobenius norm of the cosine-sine block where the
+halves are solved apart.  By Weyl's inequality [A, B] encloses the extreme
+squared singular values of B_w, so epsilon never understates them.  From
 epsilon = max(1-A, B-1), the multiplier decay fit, the smoothness exponents
 and the noise level, ``bound_apriori`` assembles the two-term upper bound on
 the reconstruction error, and ``verify_bound`` compares it against measured
@@ -60,8 +66,9 @@ def mz_constants(fam: MzFamily, m: int) -> MzConstants:
 
     The sampled energy ratio sum_j tau_j |q(x_j)|^2 / ||q||_2^2 ranges exactly
     over [A, B] as q runs over the nonzero polynomials of degree <= m; the
-    reported A and B enclose the computed range by the rounding margin delta
-    of the module docstring.
+    reported A and B enclose the computed range by the margin delta of the
+    module docstring (rounding, ring remainders and the dropped cosine-sine
+    block).
     """
     if m < 0:
         raise ValueError("degree must be >= 0")
@@ -70,9 +77,10 @@ def mz_constants(fam: MzFamily, m: int) -> MzConstants:
         raise ValueError(
             f"need at least {dim} nodes to certify degree {m}, got {len(fam.nodes)}"
         )
-    _, gram = _operator(fam, m)
+    op = _operator(fam, m)
     lam = _gram_eigenvalues(fam, m)
-    delta = np.finfo(float).eps * (len(fam.nodes) * np.trace(gram) + dim * lam[-1])
+    trace = sum(np.trace(g) for _, g in op.blocks)
+    delta = np.finfo(float).eps * (len(fam.nodes) * trace + dim * lam[-1]) + op.slack
     a, b = float(lam[0] - delta), float(lam[-1] + delta)
     return MzConstants(
         A=a, B=b, epsilon=max(1.0 - a, b - 1.0), degree=m, node_count=len(fam.nodes)

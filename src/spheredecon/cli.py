@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -442,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--out-json")
     p.add_argument("--out-csv")
-    p.set_defaults(func=_cmd_partition)
+    p.set_defaults(func="_cmd_partition")
 
     p = sub.add_parser("nodes", help="sampling nodes CSV")
     _add_common(p)
@@ -450,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", choices=["area_center", "random_in_region"])
     p.add_argument("--node-seed", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_nodes)
+    p.set_defaults(func="_cmd_nodes")
 
     p = sub.add_parser("filter", help="multiplier filter JSON")
     _add_common(p)
@@ -466,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quadrature", action="store_true", default=None,
                    help="force the quadrature route for the cap")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_filter)
+    p.set_defaults(func="_cmd_filter")
 
     p = sub.add_parser("simulate", help="noisy measurements CSV (+ JSON sidecar)")
     _add_common(p)
@@ -484,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--sidecar")
     p.add_argument("--save-truth")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func="_cmd_simulate")
 
     p = sub.add_parser("reconstruct", help="least-squares solution JSON")
     _add_common(p)
@@ -493,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sidecar")
     p.add_argument("--m", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_reconstruct)
+    p.set_defaults(func="_cmd_reconstruct")
 
     p = sub.add_parser("certify", help="a-priori error certificate JSON")
     _add_common(p)
@@ -510,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth")
     p.add_argument("--solution")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_certify)
+    p.set_defaults(func="_cmd_certify")
 
     p = sub.add_parser("verify-mz", help="measured frame constants (A, B, epsilon)")
     _add_common(p)
@@ -519,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", choices=["area_center", "random_in_region"])
     p.add_argument("--node-seed", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify_mz)
+    p.set_defaults(func="_cmd_verify_mz")
 
     p = sub.add_parser("experiment", help="convergence sweep CSV")
     _add_common(p)
@@ -541,17 +542,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-seed", type=int)
     p.add_argument("--out")
     p.add_argument("--out-json")
-    p.set_defaults(func=_cmd_experiment)
+    p.set_defaults(func="_cmd_experiment")
 
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: a parser per call would leave its
+    actions and formatters to the cyclic garbage collector."""
+    return build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         _merge_config(args)
-        return args.func(args)
+        return globals()[args.func](args)  # by name, so a patched command is called
     except CliError as exc:
         json.dump({"error": str(exc), "type": "config"}, sys.stderr, sort_keys=True)
         sys.stderr.write("\n")

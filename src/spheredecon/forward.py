@@ -12,7 +12,7 @@ import numpy as np
 
 from .filters import MultiplierFilter
 from .harmonics import CoefficientVector, block_slice, eval_poly_many
-from .sphere_geometry import MzFamily, check_nodes
+from .sphere_geometry import MzFamily, check_nodes, check_weights
 
 __all__ = [
     "MeasurementSet",
@@ -137,7 +137,8 @@ def read_measurements_csv(path, sidecar_path=None) -> MeasurementSet:
 
     Blank lines are skipped but counted.  A row that is not four finite
     numbers, or whose (theta, phi mod 2*pi) is off the sphere, raises
-    ValueError naming the file and the line.
+    ValueError naming the file and the line; a weight column that is not
+    positive or does not sum to 1 raises one naming the file and the column.
     """
     with open(path) as fh:
         header = fh.readline().strip()
@@ -164,6 +165,7 @@ def read_measurements_csv(path, sidecar_path=None) -> MeasurementSet:
         raise ValueError(f"{path}: line {numbered[bad[0]][0]} holds a non-finite value")
     nodes = np.column_stack([data[:, 0], data[:, 1] % (2 * math.pi)])
     check_nodes(nodes, where=lambda i: f"{path}: line {numbered[i][0]}")
+    check_weights(data[:, 2], what=f"{path}: the weight column")
     meta = {"beta": 0.0, "seed": None, "truth_ref": None}
     if sidecar_path is not None:
         with open(sidecar_path) as fh:

@@ -12,7 +12,7 @@ The colatitude (Legendre) factors are computed once per distinct colatitude,
 so points on a few latitude rings, such as area_center nodes, share them;
 scattered points simply form one ring each.  Synthesis is matrix-free: it
 sums the factors against the coefficients per ring and never forms the
-basis matrix.
+basis matrix; its adjoint, analysis, sums the samples per ring first.
 """
 
 from __future__ import annotations
@@ -103,36 +103,57 @@ def normalized_legendre(m_max: int, theta: np.ndarray) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     x = np.cos(theta)
     s = np.sin(theta)
-    n = theta.size
-    q = np.zeros((n, m_max + 1, m_max + 1))
-    q[:, 0, 0] = 1.0
+    # built as (degree, order, point), so that each step below works on
+    # contiguous rows, then laid out point-major
+    q = np.zeros((m_max + 1, m_max + 1, theta.size))
+    q[0, 0] = 1.0
     for k in range(1, m_max + 1):
-        q[:, k, k] = math.sqrt((2 * k + 1) / (2 * k)) * s * q[:, k - 1, k - 1]
-    for k in range(m_max + 1):
-        for m in range(k + 1, m_max + 1):
-            alpha = math.sqrt((2 * m - 1) * (2 * m + 1) / ((m - k) * (m + k)))
-            q[:, m, k] = alpha * x * q[:, m - 1, k]
-            if m - k >= 2:
-                beta = math.sqrt(
-                    (2 * m + 1) * (m - 1 - k) * (m - 1 + k) / ((2 * m - 3) * (m - k) * (m + k))
-                )
-                q[:, m, k] -= beta * q[:, m - 2, k]
-    return q
+        q[k, k] = math.sqrt((2 * k + 1) / (2 * k)) * s * q[k - 1, k - 1]
+    # degree by degree, all orders k < m at once
+    for m in range(1, m_max + 1):
+        k = np.arange(m)
+        alpha = np.sqrt((2 * m - 1) * (2 * m + 1) / ((m - k) * (m + k)))
+        q[m, :m] = alpha[:, None] * x * q[m - 1, :m]
+        k = k[: m - 1]
+        beta = np.sqrt(
+            (2 * m + 1) * (m - 1 - k) * (m - 1 + k) / ((2 * m - 3) * (m - k) * (m + k))
+        )
+        q[m, : m - 1] -= beta[:, None] * q[m - 2, : m - 1]
+    return np.ascontiguousarray(q.transpose(2, 0, 1))
 
 
-def _rings(m_max: int, thetas, phis):
-    """Colatitude factors Q per distinct colatitude (ring), the ring of each
-    point, and its azimuthal factors: column m_max + k of trig holds
-    cos(k phi) for k >= 0 and sin(|k| phi) for k < 0."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+def _trig(m_max: int, phis) -> np.ndarray:
+    """Azimuthal factors: column m_max + k holds cos(k phi) for k >= 0 and
+    sin(|k| phi) for k < 0."""
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    rings, ring_of = np.unique(thetas, return_inverse=True)
     ks = np.arange(1, m_max + 1)
     trig = np.empty((phis.size, 2 * m_max + 1))
     trig[:, :m_max] = np.sin(phis[:, None] * ks[None, :])[:, ::-1]
     trig[:, m_max] = 1.0
     trig[:, m_max + 1 :] = np.cos(phis[:, None] * ks[None, :])
-    return normalized_legendre(m_max, rings), ring_of, trig
+    return trig
+
+
+def _rings(m_max: int, thetas, phis):
+    """Colatitude factors Q per distinct colatitude (ring), the ring of each
+    point, and its azimuthal factors (``_trig``)."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    rings, ring_of = np.unique(thetas, return_inverse=True)
+    return normalized_legendre(m_max, rings), ring_of, _trig(m_max, phis)
+
+
+def _basis_rows(q, ring_of, trig) -> np.ndarray:
+    """Basis rows from the factors of ``_rings`` (the rows scale with trig)."""
+    m_max = q.shape[1] - 1
+    out = np.empty((ring_of.size, num_coeffs(m_max)))
+    sqrt2 = math.sqrt(2.0)
+    for m in range(m_max + 1):
+        factor = sqrt2 * q[:, m, np.abs(np.arange(-m, m + 1))]
+        factor[:, m] = q[:, m, 0]
+        np.multiply(
+            factor[ring_of], trig[:, m_max - m : m_max + m + 1], out=out[:, block_slice(m)]
+        )
+    return out
 
 
 def basis_matrix(m_max: int, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -142,15 +163,38 @@ def basis_matrix(m_max: int, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray
     with value sqrt(2) Q[m, |k|] sin(|k| phi) for k < 0, Q[m, 0] for k = 0
     and sqrt(2) Q[m, k] cos(k phi) for k > 0.
     """
-    q, ring_of, trig = _rings(m_max, thetas, phis)
-    out = np.empty((ring_of.size, num_coeffs(m_max)))
-    sqrt2 = math.sqrt(2.0)
+    return _basis_rows(*_rings(m_max, thetas, phis))
+
+
+def _synthesis(q, ring_of, trig, coeffs: np.ndarray) -> np.ndarray:
+    """Values sum_k a[ring, k] trig[:, k] at the points of ``_rings``, where
+    a[r, k] = sum_m Q[r, m, |k|] c'[m, k] with c' the coefficients laid out by
+    (degree, azimuthal order) and scaled by sqrt(2) off k = 0."""
+    m_max = q.shape[1] - 1
+    table = np.zeros((m_max + 1, 2 * m_max + 1))
     for m in range(m_max + 1):
-        factor = sqrt2 * q[:, m, np.abs(np.arange(-m, m + 1))]
-        factor[:, m] = q[:, m, 0]
-        np.multiply(
-            factor[ring_of], trig[:, m_max - m : m_max + m + 1], out=out[:, block_slice(m)]
-        )
+        table[m, m_max - m : m_max + m + 1] = math.sqrt(2.0) * coeffs[block_slice(m)]
+        table[m, m_max] = coeffs[m * m + m]
+    # cos half: orders k = 0..m_max; sin half: orders k = m_max..1, read as |k|
+    a = np.empty((q.shape[0], 2 * m_max + 1))
+    a[:, m_max:] = np.einsum("rmk,mk->rk", q, table[:, m_max:])
+    a[:, :m_max] = np.einsum("rmk,mk->rk", q[:, :, :0:-1], table[:, :m_max])
+    return np.einsum("nk,nk->n", a[ring_of], trig)
+
+
+def _analysis(q, ring_of, trig, v: np.ndarray) -> np.ndarray:
+    """Adjoint of ``_synthesis``: the coefficients sum_j v_j Y(x_j), from the
+    per-ring sums a[r, k] = sum_{j in r} v_j trig[j, k]."""
+    m_max = q.shape[1] - 1
+    a = np.zeros((q.shape[0], 2 * m_max + 1))
+    np.add.at(a, ring_of, trig * v[:, None])
+    table = np.empty((m_max + 1, 2 * m_max + 1))
+    table[:, m_max:] = np.einsum("rmk,rk->mk", q, a[:, m_max:])
+    table[:, :m_max] = np.einsum("rmk,rk->mk", q[:, :, :0:-1], a[:, :m_max])
+    out = np.empty(num_coeffs(m_max))
+    for m in range(m_max + 1):
+        out[block_slice(m)] = math.sqrt(2.0) * table[m, m_max - m : m_max + m + 1]
+        out[m * m + m] = table[m, m_max]
     return out
 
 
@@ -168,17 +212,7 @@ def eval_poly_many(c: CoefficientVector, thetas, phis) -> np.ndarray:
     point then sums a[k] times its azimuthal factor.  Only einsum is used, so
     the values do not depend on the BLAS thread count.
     """
-    m_max = c.m_max
-    q, ring_of, trig = _rings(m_max, thetas, phis)
-    table = np.zeros((m_max + 1, 2 * m_max + 1))
-    for m in range(m_max + 1):
-        table[m, m_max - m : m_max + m + 1] = math.sqrt(2.0) * c.block(m)
-        table[m, m_max] = c.block(m)[m]
-    # cos half: orders k = 0..m_max; sin half: orders k = m_max..1, read as |k|
-    a = np.empty((q.shape[0], 2 * m_max + 1))
-    a[:, m_max:] = np.einsum("rmk,mk->rk", q, table[:, m_max:])
-    a[:, :m_max] = np.einsum("rmk,mk->rk", q[:, :, :0:-1], table[:, :m_max])
-    return np.einsum("nk,nk->n", a[ring_of], trig)
+    return _synthesis(*_rings(c.m_max, thetas, phis), c.coeffs)
 
 
 def eval_poly(c: CoefficientVector, p: SpherePoint) -> float:

@@ -28,6 +28,7 @@ __all__ = [
     "region_measure",
     "pick_nodes",
     "check_nodes",
+    "check_weights",
     "nodes_to_arrays",
     "write_nodes_csv",
     "partition_to_json",
@@ -312,10 +313,16 @@ class MzFamily:
         object.__setattr__(self, "weights", w)
         if len(nodes) != w.size:
             raise ValueError("nodes and weights must have the same length")
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
+        check_weights(w)
+
+
+def check_weights(w: np.ndarray, what: str = "weights") -> None:
+    """ValueError unless the weights are positive and sum to 1 (to 1e-12);
+    the message names them as what."""
+    if np.any(w <= 0):
+        raise ValueError(f"{what} must be positive")
+    if abs(w.sum() - 1.0) > 1e-12:
+        raise ValueError(f"{what} must sum to 1, got {float(w.sum())!r}")
 
 
 def check_nodes(nodes: np.ndarray, where=lambda i: f"node {i}") -> None:

@@ -1,5 +1,7 @@
 """Command-line front-end: artifacts, determinism, error reporting."""
 
+import argparse
+import gc
 import hashlib
 import json
 import math
@@ -206,6 +208,26 @@ class TestConfigKeys:
         assert dispatched == []
 
 
+class TestParserReuse:
+    def test_main_leaves_no_parsers_alive(self, tmp_path, capsys):
+        def parsers():
+            return sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects())
+
+        argv = ["verify-mz", "--n", 50, "--m", 1, "--out", tmp_path / "mz.json"]
+        assert run(argv, capsys)[0] == 0
+        gc.collect()
+        gc.disable()
+        try:
+            before = parsers()
+            for _ in range(3):
+                assert run(argv, capsys)[0] == 0
+                assert run(["nodes", "--n", "not-a-number"], capsys)[0] == 2
+            after = parsers()
+        finally:
+            gc.enable()
+        assert after == before
+
+
 class TestMalformedMeasurements:
     @pytest.mark.parametrize(
         "body, where",
@@ -218,9 +240,11 @@ class TestMalformedMeasurements:
             ("theta,phi,weight,y\n0.5,abc,1.0,1.0\n", "line 2"),
             ("theta,phi,weight,y\n0.5,1.0,0.5,1.0\n0.5,1.0,0.5,1.0,2.0\n", "line 3"),
             ("theta,phi,weight,y\n0.5,1.0,0.5,1.0\n\n  \n-0.5,1.0,0.5,1.0\n", "line 5"),
+            ("theta,phi,weight,y\n0.5,1.0,0.4,1.0\n1.0,2.0,0.4,1.0\n",
+             "the weight column must sum to 1, got 0.8"),
         ],
         ids=["header_only", "short_row", "nan_y", "inf_weight", "theta_4", "abc",
-             "five_fields", "bad_after_blank"],
+             "five_fields", "bad_after_blank", "weights_sum"],
     )
     def test_reconstruct_reports_json_error(self, body, where, tmp_path, capsys):
         filt = tmp_path / "f.json"

@@ -12,6 +12,8 @@ from scipy.special import lpmv
 from conftest import product_quadrature_grid, random_sphere_points
 from spheredecon.harmonics import (
     CoefficientVector,
+    _analysis,
+    _rings,
     basis_matrix,
     block_slice,
     coeffs_from_json,
@@ -67,6 +69,35 @@ class TestNormalizedLegendre:
         # addition theorem at a single point for the top degree
         total = q[0, 200, 0] ** 2 + 2 * np.sum(q[0, 200, 1:] ** 2)
         assert total == pytest.approx(401.0, rel=1e-10)
+
+
+def _legendre_per_order_loop(m_max: int, theta: np.ndarray) -> np.ndarray:
+    """The recurrences of normalized_legendre run order by order, one degree
+    at a time: the same arithmetic, so the same bits."""
+    x, s = np.cos(theta), np.sin(theta)
+    q = np.zeros((theta.size, m_max + 1, m_max + 1))
+    q[:, 0, 0] = 1.0
+    for k in range(1, m_max + 1):
+        q[:, k, k] = math.sqrt((2 * k + 1) / (2 * k)) * s * q[:, k - 1, k - 1]
+    for k in range(m_max + 1):
+        for m in range(k + 1, m_max + 1):
+            alpha = math.sqrt((2 * m - 1) * (2 * m + 1) / ((m - k) * (m + k)))
+            q[:, m, k] = alpha * x * q[:, m - 1, k]
+            if m - k >= 2:
+                beta = math.sqrt(
+                    (2 * m + 1) * (m - 1 - k) * (m - 1 + k) / ((2 * m - 3) * (m - k) * (m + k))
+                )
+                q[:, m, k] -= beta * q[:, m - 2, k]
+    return q
+
+
+class TestNormalizedLegendreLoop:
+    @pytest.mark.parametrize("m_max", [0, 1, 2, 7, 40, 130])
+    def test_equals_the_per_order_loop(self, m_max):
+        rng = np.random.default_rng(m_max)
+        theta = np.r_[0.0, math.pi, 1e-3, math.pi / 2, rng.uniform(0.0, math.pi, 30)]
+        assert np.array_equal(normalized_legendre(m_max, theta),
+                              _legendre_per_order_loop(m_max, theta))
 
 
 def _legendre_oracle(m: int, k: int, theta: float) -> float:
@@ -157,6 +188,15 @@ class TestMatrixFreeSynthesis:
         dense = basis_matrix(c.m_max, thetas, phis) @ c.coeffs
         tol = 1e-13 * np.sum(np.abs(c.coeffs)) * math.sqrt(2 * c.m_max + 1)
         assert np.max(np.abs(eval_poly_many(c, thetas, phis) - dense)) <= tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=synthesis_cases())
+    def test_analysis_is_the_adjoint(self, case):
+        c, thetas, phis = case
+        v = np.random.default_rng(thetas.size).standard_normal(thetas.size)
+        dense = basis_matrix(c.m_max, thetas, phis).T @ v
+        tol = 1e-13 * np.sum(np.abs(v)) * math.sqrt(2 * c.m_max + 1)
+        assert np.max(np.abs(_analysis(*_rings(c.m_max, thetas, phis), v) - dense)) <= tol
 
 
 class TestEvalBasis:

@@ -11,6 +11,7 @@ from spheredecon.filters import MultiplierFilter, cap_multipliers, identity_mult
 from spheredecon.forward import add_noise, sample_at, simulate
 from spheredecon.harmonics import (
     CoefficientVector,
+    basis_matrix,
     index_of,
     num_coeffs,
     random_poly,
@@ -283,7 +284,8 @@ class TestGramSolveAgainstSvd:
         calls = {name: record_calls(monkeypatch, np.linalg, name)
                  for name in ("solve", "eigvalsh", "inv", "svd")}
         lsq_solve(filt, family, 5, np.ones(200))
-        assert calls == {"solve": [(36, 36)], "eigvalsh": [], "inv": [], "svd": []}
+        # one solve per parity half of G: 21 cosine and 15 sine columns
+        assert calls == {"solve": [(21, 21), (15, 15)], "eigvalsh": [], "inv": [], "svd": []}
 
     def test_corrupted_solve_raises(self, family, monkeypatch):
         solve = np.linalg.solve
@@ -376,7 +378,8 @@ class TestSamplingOperator:
             fam.weights[0] = 0.25
         with pytest.raises(ValueError, match="read-only"):
             fam.nodes[0, 0] = 0.25
-        for arr in _operator(fam, 0):
+        op = _operator(fam, 0)
+        for arr in (op.dense, op.bw, op.wide, *op.rings, *(a for blk in op.blocks for a in blk)):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0.0
 
@@ -388,7 +391,7 @@ class TestSamplingOperator:
         lsq_solve(partly, fresh, 4, y)
         # a fresh family: the path gate needs eigvalsh(G_act) only, never G's
         assert shapes == [(22, 22)]
-        assert fresh._operator[3] is None
+        assert fresh._operator.lam is None
         fam = scattered_family()
         mz_constants(fam, 4)
         assert shapes == [(22, 22), (25, 25)]
@@ -411,3 +414,118 @@ class TestSolutionJson:
             "residual", "rank", "full_rank", "frame_lower", "frame_upper",
             "sigma_max", "sigma_min", "active_degrees",
         }
+
+
+def dense_gram(fam, m):
+    bw = basis_matrix(m, fam.nodes[:, 0], fam.nodes[:, 1]) * np.sqrt(fam.weights)[:, None]
+    return bw, bw.T @ bw
+
+
+def dense_svd_epsilon(bw):
+    sv = np.linalg.svd(bw, compute_uv=False)
+    return max(1 - sv[-1] ** 2, sv[0] ** 2 - 1)
+
+
+def ring_gram(op):
+    """G as the operator holds it: its blocks, zero elsewhere."""
+    dim = sum(b.size for b, _ in op.blocks)
+    gram = np.zeros((dim, dim))
+    for b, g in op.blocks:
+        gram[np.ix_(b, b)] = g
+    return gram
+
+
+@st.composite
+def ring_families(draw):
+    """(family, m): area-center nodes, 1 <= m <= 24, (m+1)^2 <= N <= 4 (m+1)^2."""
+    m = draw(st.integers(1, 24))
+    k = num_coeffs(m)
+    return pick_nodes(build_partition(draw(st.integers(max(50, k), max(50, 4 * k))))), m
+
+
+class TestRingOperator:
+    """Ring families: G from per-order blocks of the wide rings and dense rows."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=ring_families())
+    def test_matches_the_dense_gram(self, case):
+        fam, m = case
+        bw, gram = dense_gram(fam, m)
+        op = _operator(fam, m)
+        trace = np.trace(gram)
+        assert np.linalg.norm(ring_gram(op) - gram) <= 1e-13 * trace
+        const = mz_constants(fam, m)
+        eps_svd = dense_svd_epsilon(bw)
+        assert eps_svd <= const.epsilon < eps_svd + 1e-8
+        # Rump-style check, independent of the eigensolver: A <= lambda_min(G)
+        # and lambda_max(G) <= B, each because a Cholesky factor exists.
+        eye = np.eye(gram.shape[0])
+        np.linalg.cholesky(gram - const.A * eye)
+        np.linalg.cholesky(const.B * eye - gram)
+
+    def test_wide_and_dense_rings_and_parity_halves(self):
+        fam = pick_nodes(build_partition(1600))
+        op = _operator(fam, 16)
+        # the polar rings alias at degree 16 (25 <= 32 nodes), the others are wide
+        assert 0 < op.dense.size < op.wide.size
+        assert sorted(np.r_[op.dense, op.wide].tolist()) == list(range(1600))
+        assert [b.size for b, _ in op.blocks] == [153, 136]
+        assert 0.0 < op.slack < 1e-12
+        rows, _ = design_matrix(identity_multipliers(16), fam, 16)
+        np.testing.assert_allclose(rows, dense_gram(fam, 16)[0], rtol=0, atol=1e-14)
+        v = np.random.default_rng(40).standard_normal(1600)
+        d = np.random.default_rng(41).standard_normal(num_coeffs(16))
+        np.testing.assert_allclose(reconstruct._adjoint(op, v), rows.T @ v, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(reconstruct._apply(op, d), rows @ d, rtol=0, atol=1e-12)
+
+    def test_split_of_an_all_dense_ring_family_charges_the_cross_block(self):
+        # at degree 13 every ring of N = 200 (11 to 25 nodes) aliases
+        fam = pick_nodes(build_partition(200))
+        op = _operator(fam, 13)
+        assert op.wide.size == 0
+        cos, sin = (b for b, _ in op.blocks)
+        gram = dense_gram(fam, 13)[1]
+        assert op.slack == np.linalg.norm(gram[np.ix_(cos, sin)]) > 0.0
+
+    @pytest.mark.parametrize("shift, stays_wide", [(1e-6, False), (1e-12, False), (1e-15, True)])
+    def test_perturbed_wide_ring_keeps_epsilon_sound(self, shift, stays_wide):
+        fam = pick_nodes(build_partition(1600))
+        m = 16
+        thetas, counts = np.unique(fam.nodes[:, 0], return_counts=True)
+        ring = np.flatnonzero(fam.nodes[:, 0] == thetas[np.argmax(counts)])
+        assert set(ring) <= set(_operator(fam, m).wide)
+        nodes = fam.nodes.copy()
+        nodes[ring, 1] += shift * np.cos(np.arange(ring.size))
+        bumped = MzFamily(nodes=nodes, weights=fam.weights)
+        eps = mz_constants(bumped, m).epsilon
+        # off the rounding level the ring's rows go dense; below it the ring
+        # stays wide and its remainder enters delta
+        assert (set(ring) <= set(_operator(bumped, m).wide)) == stays_wide
+        assert eps >= dense_svd_epsilon(dense_gram(bumped, m)[0])
+        assert eps < dense_svd_epsilon(dense_gram(bumped, m)[0]) + 1e-8
+
+    @pytest.mark.parametrize("m", [2, 5, 9])
+    @pytest.mark.parametrize("filt_b", [None, [1.0, 0.0, 0.5, 0.25, 1.0, 1.0, 0.5, 0.2, 0.1, 0.3]],
+                             ids=["cap", "partly_active"])
+    def test_scattered_family_is_bitwise_the_dense_arithmetic(self, m, filt_b):
+        fam = pick_nodes(build_partition(max(50, 4 * num_coeffs(m))), rule="random_in_region",
+                         seed=m)
+        filt = cap_multipliers(THETA_41, m) if filt_b is None else MultiplierFilter(
+            np.array(filt_b[: m + 1]))
+        y = np.random.default_rng(m).standard_normal(len(fam.nodes))
+        const = mz_constants(fam, m)
+        report = lsq_solve(filt, fam, m, y)
+        # dense-only reference: the arithmetic of a single dense block
+        bw, gram = dense_gram(fam, m)
+        lam = np.linalg.eigvalsh(gram)
+        delta = np.finfo(float).eps * (len(fam.nodes) * np.trace(gram) + gram.shape[0] * lam[-1])
+        assert (const.A, const.B) == (float(lam[0] - delta), float(lam[-1] + delta))
+        _, cols = design_matrix(filt, fam, m)
+        scale = np.repeat(filt.b[: m + 1], 2 * np.arange(m + 1) + 1)[cols]
+        ytil = y * np.sqrt(fam.weights)
+        d = np.zeros(num_coeffs(m))
+        d[cols] = np.linalg.solve(gram[np.ix_(cols, cols)], (bw.T @ ytil)[cols])
+        coeffs = np.zeros(num_coeffs(m))
+        coeffs[cols] = d[cols] / scale
+        assert np.array_equal(report.solution.coeffs, coeffs)
+        assert report.residual == float(np.linalg.norm(bw @ d - ytil))

@@ -277,7 +277,7 @@ class TestPickNodes:
 class TestMzFamily:
     def test_rejects_unnormalized_weights(self):
         nodes = np.array([[0.1, 0.0], [0.2, 0.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"weights must sum to 1, got 0\.9$"):
             MzFamily(nodes=nodes, weights=np.array([0.5, 0.4]))
 
     @pytest.mark.parametrize(
