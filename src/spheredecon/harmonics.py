@@ -184,10 +184,14 @@ def _synthesis(q, ring_of, trig, coeffs: np.ndarray) -> np.ndarray:
 
 def _analysis(q, ring_of, trig, v: np.ndarray) -> np.ndarray:
     """Adjoint of ``_synthesis``: the coefficients sum_j v_j Y(x_j), from the
-    per-ring sums a[r, k] = sum_{j in r} v_j trig[j, k]."""
+    per-ring sums a[r, k] = sum_{j in r} v_j trig[j, k], each a run of
+    ``np.add.reduceat`` over the points grouped by ring."""
     m_max = q.shape[1] - 1
+    order = np.argsort(ring_of, kind="stable")  # the identity for points stored ring by ring
+    grouped = ring_of[order]
+    starts = np.flatnonzero(np.diff(grouped, prepend=-1))
     a = np.zeros((q.shape[0], 2 * m_max + 1))
-    np.add.at(a, ring_of, trig * v[:, None])
+    a[grouped[starts]] = np.add.reduceat(trig[order] * v[order, None], starts)
     table = np.empty((m_max + 1, 2 * m_max + 1))
     table[:, m_max:] = np.einsum("rmk,rk->mk", q, a[:, m_max:])
     table[:, :m_max] = np.einsum("rmk,rk->mk", q[:, :, :0:-1], a[:, :m_max])

@@ -17,12 +17,15 @@ B_w and G are the sampling operator of one (family, degree) pair, and
 eigvalsh(G) is added to it on first need (frame constants, or a solve with
 every degree active).  ``_operator`` builds them once and keeps them on the
 family, so the frame constants (certify.mz_constants), the solve and the
-design matrix of that pair share one basis build and at most one eigensolve.
-It never forms B_w on a ring family: nodes on wide colatitude rings add
-per-azimuthal-order blocks to G and are applied by per-ring synthesis and
-analysis, and G splits into its cosine and sine halves where the block
-between them is below the rounding margin; every solve and eigensolve then
-runs per half.  Scattered families keep the dense rows and one block.
+design matrix of that pair share one basis build and at most one eigensolve;
+the path gate of the last filter (below) is kept with them, so a solve and
+the singular values of the same filter share it too.  On a ring family the
+operator forms neither B_w nor G whole: each colatitude ring adds the order
+pairs its aliasing pattern keeps and is applied by per-ring synthesis and
+analysis, and on mirror-symmetric rings G is held as four blocks, cosine or
+sine side times the parity of n - |k|, built order pair by order pair; every
+solve and eigensolve then runs per block.  Scattered families keep the dense
+rows and one block.
 
 The SVD pseudoinverse of the filtered matrix, with relative cutoff 1e-12,
 runs instead when G is singular to half the working precision or when the
@@ -37,6 +40,7 @@ ones) and of D^{-1} G^{-1} D^{-1} (small ones), each where it is accurate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -83,99 +87,197 @@ def active_degrees(filt: MultiplierFilter, m: int) -> tuple:
 class _Operator(NamedTuple):
     """The sampling operator B_w of one (family, degree) pair, without B_w.
 
-    Nodes on wide rings are held as their ring factors (Q, ring of each
-    node, sqrt(tau)-weighted azimuthal factors); every other node as its row
-    of B_w.  G is held as its diagonal blocks (b, G[b, b]) over column index
-    blocks b; slack is the norm of what the blocks leave out of G (ring
-    remainders and the cross-parity block), which the frame constants add to
-    their rounding margin.
+    Nodes on rings held by their pattern are kept as their ring factors (Q,
+    ring of each node, sqrt(tau)-weighted azimuthal factors); every other
+    node as its row of B_w.  G is held as its diagonal blocks (b, G[b, b])
+    over column index blocks b; slack bounds the spectral norm of what the
+    blocks leave out of G (ring remainders and the entries between blocks),
+    which the frame constants add to their rounding margin.  system is the
+    path gate of the last filter solved with (``_active_system``).
     """
 
     m: int
     dense: np.ndarray
     bw: np.ndarray
-    wide: np.ndarray
+    ring_nodes: np.ndarray
     rings: tuple
     blocks: tuple
     slack: float
     lam: Optional[np.ndarray] = None
+    system: Optional[tuple] = None
 
 
 def _operator(fam: MzFamily, m: int) -> _Operator:
     """The read-only sampling operator of the family at degree m.
 
-    A ring (nodes of one colatitude) with more than 2m nodes is wide when its
-    weighted trig Gram T = sum_j tau_j t(phi_j) t(phi_j)^T, t the azimuthal
-    factors of degree m, is diagonal to the rounding bound l eps max T[k, k]
-    of its l-term sums, as on the offset equispaced rings of area-center
-    nodes: its share of G is then block-diagonal by azimuthal order k,
-    G_k += Q[:, k] T[k, k] Q[:, k]^T (times 2 off k = 0), and the Frobenius
-    norm of the off-diagonal rest, weighted by the squared column norms of
-    Q, is its remainder.  All other nodes, every node of a scattered family
-    included, enter through their rows of B_w as B_w^T B_w.  When the
-    Frobenius norm of the cosine-sine block of the result is below
-    eps N trace G, G is kept as its cosine and sine halves and that norm
-    joins the remainders in slack (Weyl); otherwise as one block.
+    A colatitude ring of l >= 2 nodes has the weighted trig Gram
+    T = sum_j tau_j t(phi_j) t(phi_j)^T, t the azimuthal factors of degree
+    m.  On offset equispaced longitudes, as on the rings of area-center
+    nodes, T couples orders k and k' only on the same (cosine or sine) side
+    and when |k| = +-|k'| (mod l): its aliasing pattern, the diagonal when
+    l > 2m.  A ring whose entries off the pattern stay below the rounding
+    bound (2m+1) l eps max T[k, k] is held by its pattern: it adds
+    c_k c_k' T[k, k'] Q[:, |k|] Q[:, |k'|]^T (c = sqrt 2 off k = 0) to G
+    for each kept order pair, and the Frobenius norm of the entries left
+    out, weighted by the column norms of c Q, is its remainder.  Every
+    other node enters through its row of B_w.
+
+    With mirror-symmetric rings, Q(pi - theta)[n, k] = (-1)^(n-k) Q(theta)[n, k]
+    makes G block-diagonal in four classes of columns (n, k): cosine or
+    sine side times the parity of n - |k|.  G is built class block by class
+    block, order pair by order pair, never whole; the Frobenius norms of
+    the block C between the sides and of the blocks P between the parities
+    of one side are taken from those entries themselves.  When
+    ||C|| + max ||P|| is below eps N trace G, G is held as the four class
+    blocks and that sum joins slack (Weyl: it bounds the spectral norm of
+    the entries left out); otherwise as its cosine and sine halves, charged
+    ||C||, if that is below the bound; otherwise whole.  A family with no
+    ring held by its pattern (scattered nodes) is its dense rows and one
+    block, G = B_w^T B_w.
 
     The family keeps the last degree's operator in its one slot, with
-    eigvalsh(G) added when ``_gram_eigenvalues`` first needs it; a call at
-    another degree replaces it.
+    eigvalsh(G) added when ``_gram_eigenvalues`` first needs it and the path
+    gate of the last filter (``_active_system``); a call at another degree
+    replaces it.
     """
     if fam._operator is None or fam._operator.m != m:
         object.__setattr__(fam, "_operator", _build_operator(fam, m))
     return fam._operator
 
 
+def _class_columns(m: int):
+    """Columns of the four classes (side, parity) and their order offsets.
+
+    Class 2 s + p holds the columns (n, k) with k >= 0 (s = 0, cosine) or
+    k < 0 (s = 1, sine) and n - |k| = p (mod 2), order-major: by |k|, then
+    n.  off[c][a] is the position of order |k| = a's first column in class
+    c (a = m + 1 gives the class size).
+    """
+    cols, off = [], []
+    for s in (0, 1):
+        for p in (0, 1):
+            cols.append(np.array([n * n + n + (-a if s else a) for a in range(s, m + 1)
+                                  for n in range(a + p, m + 1, 2)], dtype=np.intp))
+            sizes = [0] * s + [len(range(a + p, m + 1, 2)) for a in range(s, m + 1)]
+            off.append(np.concatenate([[0], np.cumsum(sizes)]).tolist())
+    return cols, off
+
+
 def _build_operator(fam: MzFamily, m: int) -> _Operator:
     eps = np.finfo(float).eps
+    n_nodes = len(fam.nodes)
     thetas, phis = fam.nodes[:, 0], fam.nodes[:, 1]
     sqrt_w = np.sqrt(fam.weights)
     colat, ring_of, counts = np.unique(thetas, return_inverse=True, return_counts=True)
-    cand = np.flatnonzero(counts > max(2 * m, 1))  # a ring of one node is scattered
+    cand = np.flatnonzero(counts > 1)  # a ring of one node is scattered
+    ringed = np.argsort(ring_of, kind="stable")[np.repeat(counts > 1, counts)]
+    starts = np.concatenate([[0], np.cumsum(counts[cand])]).tolist()
+    trig = _trig(m, phis[ringed])
+    trig *= sqrt_w[ringed, None]
     q = normalized_legendre(m, colat[cand])
-    abs_k = np.abs(np.arange(-m, m + 1))
-    twice = np.where(abs_k > 0, 2.0, 1.0)  # the squared sqrt(2) off k = 0
-    wide, nodes, trigs, diags, slack = [], [], [], [], 0.0  # per wide ring
-    for i, r in enumerate(cand):
-        members = np.flatnonzero(ring_of == r)
-        t = _trig(m, phis[members]) * sqrt_w[members, None]
-        off = t.T @ t
-        diag = off.diagonal().copy()
-        np.fill_diagonal(off, 0.0)
-        if np.max(np.abs(off)) <= counts[r] * eps * diag.max():
-            col = np.sqrt(twice * np.sum(q[i][:, abs_k] ** 2, axis=0))
-            slack += float(np.linalg.norm(col[:, None] * off * col[None, :]))
-            wide.append(i)
-            nodes.append(members)
-            trigs.append(t)
-            diags.append(twice * diag)
-    wide_nodes = np.concatenate(nodes + [np.empty(0, dtype=np.intp)])
-    dense = np.setdiff1d(np.arange(len(thetas)), wide_nodes)
-    bw = basis_matrix(m, thetas[dense], phis[dense])
-    bw *= sqrt_w[dense, None]
-    gram = bw.T @ bw
-    q = q[wide]
-    if wide:
-        sqrt_diag = np.sqrt(np.array(diags))
-        for k in range(m + 1):
-            degrees = np.arange(k, m + 1)
-            for j in {m - k, m + k}:  # the sin-k and cos-k columns of T
-                s = q[:, k:, k] * sqrt_diag[:, j, None]
-                idx = degrees * degrees + degrees + j - m
-                gram[np.ix_(idx, idx)] += s.T @ s
-    orders = np.concatenate([np.arange(-d, d + 1) for d in range(m + 1)])
-    cos, sin = np.flatnonzero(orders >= 0), np.flatnonzero(orders < 0)
-    cross = float(np.linalg.norm(gram[np.ix_(cos, sin)]))
-    if cross < eps * len(thetas) * np.trace(gram):
-        blocks = tuple((b, gram[b][:, b]) for b in (cos, sin) if b.size)
-        slack += cross
+    k = np.arange(-m, m + 1)
+    abs_k = np.abs(k)
+    c = np.where(abs_k > 0, math.sqrt(2.0), 1.0)
+    col = c * np.sqrt(np.sum(q**2, axis=1))[:, abs_k]  # norms of the columns c_k Q[:, |k|]
+    same_side = (k >= 0)[:, None] == (k >= 0)
+    patterns, slack = {}, 0.0
+    held, diag, pairs = [], [], []  # per held ring: its index, c^2 diag T, kept j < j'
+    for i, ell in enumerate(counts[cand].tolist()):
+        period = min(ell, 2 * m + 1)  # beyond 2m nodes the pattern is the diagonal
+        if period not in patterns:
+            keep = same_side & (((abs_k[:, None] - abs_k) % period == 0)
+                                | ((abs_k[:, None] + abs_k) % period == 0))
+            patterns[period] = keep, np.nonzero(np.triu(keep, 1))
+        keep, (j, jj) = patterns[period]
+        t = trig[starts[i]:starts[i + 1]]
+        gram_t = t.T @ t.copy()  # GEMM: numpy sends t.T @ t to SYRK, erratic at 2 threads
+        off = np.where(keep, 0.0, gram_t)
+        if np.max(np.abs(off)) <= (2 * m + 1) * ell * eps * gram_t.diagonal().max():
+            slack += float(np.linalg.norm(off * np.outer(col[i], col[i])))
+            pairs.append((np.full(j.size, len(held)), j, jj, c[j] * gram_t[j, jj] * c[jj]))
+            held.append(i)
+            diag.append(c * c * gram_t.diagonal())
+    kept = np.repeat(np.isin(np.arange(cand.size), held), counts[cand])
+    ring_nodes = ringed[kept]
+    on_rings = np.zeros(n_nodes, dtype=bool)
+    on_rings[ring_nodes] = True
+    dense = np.flatnonzero(~on_rings)
+    if dense.size:
+        bw = basis_matrix(m, thetas[dense], phis[dense])
+        bw *= sqrt_w[dense, None]
     else:
-        blocks = ((np.arange(gram.shape[0]), gram),)
-    rings = (q, np.repeat(np.arange(len(wide)), [t.shape[0] for t in trigs]),
-             np.concatenate(trigs + [np.empty((0, 2 * m + 1))]))
-    for arr in (dense, bw, wide_nodes, *rings, *(a for block in blocks for a in block)):
+        bw = np.empty((0, num_coeffs(m)))
+    rings = (q[held], np.repeat(np.arange(len(held)), counts[cand][held]),
+             trig if kept.all() else trig[kept])
+    if held:
+        pairs = tuple(np.concatenate(x) for x in zip(*pairs))
+        blocks, left_out = _class_blocks(m, rings[0], np.array(diag), pairs, bw, eps * n_nodes)
+        slack += left_out
+    else:
+        gram = bw.T @ bw
+        blocks = [(np.arange(gram.shape[0]), gram)]
+    for arr in (dense, bw, ring_nodes, *rings, *(a for block in blocks for a in block)):
         arr.flags.writeable = False
-    return _Operator(m, dense, bw, wide_nodes, rings, blocks, slack)
+    return _Operator(m, dense, bw, ring_nodes, rings, tuple(blocks), slack)
+
+
+def _class_blocks(m: int, q: np.ndarray, diag: np.ndarray, pairs: tuple, bw: np.ndarray,
+                  eps_n: float):
+    """The blocks of G over the four classes, or its halves, or G whole, and
+    the norm they leave out (see ``_operator``).
+
+    q holds the Legendre factors of the held rings, diag[r, j] their weights
+    c_k^2 T[j, j] (j = m + k), and pairs = (r, j, j', w) their kept order
+    pairs j < j' with weights c_k c_k' T[j, j']; bw holds the dense rows.
+    """
+    cols, off = _class_columns(m)
+    gram = [np.zeros((b.size, b.size)) for b in cols]
+    between_parities = [np.zeros((cols[2 * s].size, cols[2 * s + 1].size)) for s in (0, 1)]
+
+    def put(j, jj, blk):
+        """Order pair (k, k') = (j - m, jj - m) into its class blocks: blk
+        has rows n = |k|.. and columns n' = |k'|.., the even offsets in
+        parity class 0 and the odd ones in class 1."""
+        s, a, b = int(j < m), abs(j - m), abs(jj - m)
+        o0, o1, cross = off[2 * s], off[2 * s + 1], between_parities[s]
+        gram[2 * s][o0[a]:o0[a + 1], o0[b]:o0[b + 1]] = blk[0::2, 0::2]
+        gram[2 * s + 1][o1[a]:o1[a + 1], o1[b]:o1[b + 1]] = blk[1::2, 1::2]
+        cross[o0[a]:o0[a + 1], o1[b]:o1[b + 1]] = blk[0::2, 1::2]
+        if a != b:  # the mirror image across the diagonal
+            gram[2 * s][o0[b]:o0[b + 1], o0[a]:o0[a + 1]] = blk[0::2, 0::2].T
+            gram[2 * s + 1][o1[b]:o1[b + 1], o1[a]:o1[a + 1]] = blk[1::2, 1::2].T
+            cross[o0[b]:o0[b + 1], o1[a]:o1[a + 1]] = blk[1::2, 0::2].T
+
+    qt = np.ascontiguousarray(q.transpose(2, 1, 0))  # (order, degree, ring)
+    for j in range(2 * m + 1):  # every held ring keeps the diagonal pairs
+        a = abs(j - m)
+        put(j, j, (qt[a, a:] * diag[:, j]) @ qt[a, a:].T)
+    order = np.argsort(pairs[1] * (2 * m + 1) + pairs[2], kind="stable")
+    ring, j, jj, w = (x[order] for x in pairs)
+    first = np.flatnonzero((np.diff(j, prepend=-1) != 0) | (np.diff(jj, prepend=-1) != 0))
+    for lo, hi in zip(first.tolist(), first[1:].tolist() + [j.size]):
+        a, b, r = abs(int(j[lo]) - m), abs(int(jj[lo]) - m), ring[lo:hi]
+        put(int(j[lo]), int(jj[lo]), (qt[a, a:][:, r] * w[lo:hi]) @ qt[b, b:][:, r].T)
+    between_sides = None
+    if bw.shape[0]:
+        for b, g in zip(cols, gram):
+            g += bw[:, b].T @ bw[:, b]
+        for s in (0, 1):
+            between_parities[s] += bw[:, cols[2 * s]].T @ bw[:, cols[2 * s + 1]]
+        between_sides = bw[:, np.r_[cols[0], cols[1]]].T @ bw[:, np.r_[cols[2], cols[3]]]
+    budget = eps_n * sum(np.trace(g) for g in gram)
+    side_norm = float(np.linalg.norm(between_sides)) if between_sides is not None else 0.0
+    parity_norm = max(float(np.linalg.norm(x)) for x in between_parities)
+    if side_norm + parity_norm < budget:
+        return [(b, g) for b, g in zip(cols, gram) if b.size], side_norm + parity_norm
+    halves = [(np.r_[cols[2 * s], cols[2 * s + 1]],
+               np.block([[gram[2 * s], between_parities[s]],
+                         [between_parities[s].T, gram[2 * s + 1]]])) for s in (0, 1)]
+    if side_norm < budget:
+        return [(b, g) for b, g in halves if b.size], side_norm
+    # held rings couple no cosine and sine column, so the dense rows did
+    (b0, h0), (b1, h1) = halves
+    return [(np.r_[b0, b1], np.block([[h0, between_sides], [between_sides.T, h1]]))], 0.0
 
 
 def _gram_eigenvalues(fam: MzFamily, m: int) -> np.ndarray:
@@ -195,27 +297,27 @@ def _block_eigenvalues(blocks) -> np.ndarray:
 
 def _apply(op: _Operator, d: np.ndarray) -> np.ndarray:
     """B_w d."""
-    out = np.empty(op.dense.size + op.wide.size)
+    out = np.empty(op.dense.size + op.ring_nodes.size)
     out[op.dense] = op.bw @ d
-    if op.wide.size:
-        out[op.wide] = _synthesis(*op.rings, d)
+    if op.ring_nodes.size:
+        out[op.ring_nodes] = _synthesis(*op.rings, d)
     return out
 
 
 def _adjoint(op: _Operator, v: np.ndarray) -> np.ndarray:
     """B_w^T v."""
     out = op.bw.T @ v[op.dense]
-    if op.wide.size:
-        out += _analysis(*op.rings, v[op.wide])
+    if op.ring_nodes.size:
+        out += _analysis(*op.rings, v[op.ring_nodes])
     return out
 
 
 def _rows(op: _Operator) -> np.ndarray:
     """B_w itself, for the SVD and the design matrix."""
-    out = np.empty((op.dense.size + op.wide.size, op.bw.shape[1]))
+    out = np.empty((op.dense.size + op.ring_nodes.size, op.bw.shape[1]))
     out[op.dense] = op.bw
-    if op.wide.size:
-        out[op.wide] = _basis_rows(*op.rings)
+    if op.ring_nodes.size:
+        out[op.ring_nodes] = _basis_rows(*op.rings)
     return out
 
 
@@ -233,16 +335,33 @@ def _column_multipliers(filt: MultiplierFilter, fam: MzFamily, m: int) -> np.nda
     return bcol
 
 
-def _active_system(filt: MultiplierFilter, fam: MzFamily, m: int):
-    """(bcol, op, blocks, eigvalsh(G_act), on_gram) of the filtered system.
+class _System(NamedTuple):
+    """The path gate of one filter on the operator (``_active_system``).
 
     bcol holds the column multipliers, blocks the (b, G[b, b]) pairs of G
-    restricted to the active columns.  on_gram says whether the normal
-    equations stand for the SVD with relative cutoff 1e-12 (see the module
-    docstring).
+    restricted to the active columns, lam their eigenvalues.  on_gram says
+    whether the normal equations stand for the SVD with relative cutoff
+    1e-12 (see the module docstring); off it, svd is that SVD, (U, sigma,
+    V^T) of the filtered matrix, once one of its users has taken it.
+    """
+
+    bcol: np.ndarray
+    blocks: list
+    lam: np.ndarray
+    on_gram: bool
+    svd: Optional[tuple] = None
+
+
+def _active_system(filt: MultiplierFilter, fam: MzFamily, m: int) -> _System:
+    """The path gate of the filter at degree m, kept in the operator's slot.
+
+    The solve and ``filtered_singular_values`` of one filter share it, so
+    its eigensolve (or SVD) runs once; another filter replaces it.
     """
     bcol = _column_multipliers(filt, fam, m)
     op = _operator(fam, m)
+    if op.system is not None and np.array_equal(op.system.bcol, bcol):
+        return op.system
     blocks = []
     for b, g in op.blocks:
         act = bcol[b] != 0.0
@@ -259,7 +378,32 @@ def _active_system(filt: MultiplierFilter, fam: MzFamily, m: int):
     on_gram = bool(
         lam[0] > _GRAM_RCOND * lam[-1] and np.sqrt(lam[0] / lam[-1]) > _SVD_RCOND * spread
     )
-    return bcol, op, blocks, lam, on_gram
+    return _keep_system(fam, _System(bcol, blocks, lam, on_gram))
+
+
+def _keep_system(fam: MzFamily, system: _System) -> _System:
+    """Keep the path gate in the operator's slot, read-only like the operator."""
+    for arr in (system.bcol, system.lam, *(a for block in system.blocks for a in block),
+                *(system.svd or ())):
+        arr.flags.writeable = False
+    object.__setattr__(fam, "_operator", fam._operator._replace(system=system))
+    return system
+
+
+def _filtered_rows(op: _Operator, bcol: np.ndarray) -> np.ndarray:
+    """The filtered matrix B_w D on the active columns."""
+    cols = np.flatnonzero(bcol)
+    return _rows(op)[:, cols] * bcol[None, cols]
+
+
+def _filtered_svd(fam: MzFamily, system: _System, mat: Optional[np.ndarray] = None) -> tuple:
+    """(U, sigma, V^T) of the filtered matrix mat (built here if not given),
+    taken once per path gate."""
+    if system.svd is None:
+        if mat is None:
+            mat = _filtered_rows(fam._operator, system.bcol)
+        system = _keep_system(fam, system._replace(svd=np.linalg.svd(mat, full_matrices=False)))
+    return system.svd
 
 
 def design_matrix(filt: MultiplierFilter, fam: MzFamily, m: int):
@@ -270,8 +414,7 @@ def design_matrix(filt: MultiplierFilter, fam: MzFamily, m: int):
     indices into the full degree-major layout).
     """
     bcol = _column_multipliers(filt, fam, m)
-    cols = np.flatnonzero(bcol)
-    return _rows(_operator(fam, m))[:, cols] * bcol[None, cols], cols
+    return _filtered_rows(_operator(fam, m), bcol), np.flatnonzero(bcol)
 
 
 def lsq_solve(
@@ -291,24 +434,25 @@ def lsq_solve(
         raise ValueError("y must have one entry per node")
     if not np.all(np.isfinite(y)):
         raise ValueError("y must be finite")
-    bcol, op, blocks, lam, on_gram = _active_system(filt, fam, m)
+    system = _active_system(filt, fam, m)
+    bcol, op = system.bcol, fam._operator
     cols = np.flatnonzero(bcol)
     ytil = y * np.sqrt(fam.weights)
     coeffs = np.zeros(num_coeffs(m))
-    if on_gram:
+    if system.on_gram:
         d = np.zeros(num_coeffs(m))
         rhs = _adjoint(op, ytil)
-        for b, g in blocks:
+        for b, g in system.blocks:
             d[b] = np.linalg.solve(g, rhs[b])
         coeffs[cols] = d[cols] / bcol[cols]
         residual = float(np.linalg.norm(_apply(op, d) - ytil))
         rank = cols.size
         # d solves the unfiltered system, whose smallest squared singular
         # value is lambda_min(G_act).
-        solved, lower = d, lam[0]
+        solved, lower = d, system.lam[0]
     else:
-        mat = _rows(op)[:, cols] * bcol[None, cols]
-        u, sv, vt = np.linalg.svd(mat, full_matrices=False)
+        mat = _filtered_rows(op, bcol)
+        u, sv, vt = _filtered_svd(fam, system, mat)
         cutoff = _SVD_RCOND * sv[0] if sv[0] > 0 else 0.0
         kept = sv > cutoff
         rank = int(kept.sum())
@@ -344,13 +488,12 @@ def filtered_singular_values(filt: MultiplierFilter, fam: MzFamily, m: int) -> n
     eps / sigma_min^2, each taken per block of G (D is diagonal); elsewhere
     from an SVD of B_w D.
     """
-    bcol, op, blocks, lam, on_gram = _active_system(filt, fam, m)
-    if not on_gram:
-        cols = np.flatnonzero(bcol)
-        return np.linalg.svd(_rows(op)[:, cols] * bcol[None, cols], compute_uv=False)
+    system = _active_system(filt, fam, m)
+    if not system.on_gram:
+        return _filtered_svd(fam, system)[1]
     big, inv_big = [], []
-    for b, g in blocks:
-        scale = bcol[b]
+    for b, g in system.blocks:
+        scale = system.bcol[b]
         inv_scale = 1.0 / scale
         big.append(scale[:, None] * g * scale[None, :])
         inv_big.append(inv_scale[:, None] * np.linalg.inv(g) * inv_scale[None, :])

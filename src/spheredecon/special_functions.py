@@ -140,18 +140,31 @@ def radial_density(r, params: JacobiParams):
 # Gauss-Legendre panel rule used by the adaptive quadrature.
 _GL_ORDER = 12
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+# Values per integrand call: a vector integrand's (k, points) table is
+# evaluated over chunks of panels that hold at most about this many values.
+_CHUNK_VALUES = 1 << 22
 
 
 def _composite_gl(f: Callable, lo: float, hi: float, panels: int) -> float | np.ndarray:
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    # points shaped (panels, order), evaluated in one vectorized call; a
-    # vector integrand returns (k, points) and yields k integrals
+    # points shaped (panels, order); a vector integrand returns (k, points)
+    # and yields k integrals.  A first chunk of 4 panels tells k, which sizes
+    # the rest; the per-panel sums are summed once at the end.  Chunks start
+    # at multiples of 4 panels, where the BLAS matrix-vector kernel starts
+    # its groups of rows, so the sums match a single call's bit for bit.
     pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = f(pts.ravel())
-    vals = vals.reshape(vals.shape[:-1] + pts.shape)
-    total = np.sum(vals @ _GL_WEIGHTS * half, axis=-1)
+    sums, start, step = [], 0, 4
+    while start < panels:
+        chunk = pts[start : start + step]
+        vals = f(chunk.ravel())
+        vals = vals.reshape(vals.shape[:-1] + chunk.shape)
+        sums.append(vals @ _GL_WEIGHTS * half[start : start + step])
+        start += step
+        step = max(4, _CHUNK_VALUES * chunk.shape[0] // vals.size // 4 * 4)
+        del vals  # before the next call allocates its table
+    total = np.sum(np.concatenate(sums, axis=-1), axis=-1)
     return float(total) if total.ndim == 0 else total
 
 

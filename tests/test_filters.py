@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,18 @@ class TestQuadratureMultipliers:
         quadr = multipliers_from_profile(CapProfile(0.7), m_max=50, tol=1e-10)
         np.testing.assert_allclose(quadr.b, closed.b, atol=1e-8)
         assert quadr.provenance == "quadrature"
+
+    def test_peak_memory_bounded_at_high_degree(self):
+        # with every panel in one integrand call the (401, points) table
+        # alone held 144 MB here
+        tracemalloc.start()
+        try:
+            filt = multipliers_from_profile(CapProfile(0.7), m_max=400, tol=1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        np.testing.assert_allclose(filt.b, cap_multipliers(0.7, 400).b, atol=1e-8)
 
     def test_lunar_matches_per_degree_oracle(self):
         profile = LunarProfile(1737.1, 30.0)

@@ -1,6 +1,7 @@
 """Design matrix assembly and the least-squares solver, against an SVD oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from spheredecon.filters import MultiplierFilter, cap_multipliers, identity_mult
 from spheredecon.forward import add_noise, sample_at, simulate
 from spheredecon.harmonics import (
     CoefficientVector,
+    _trig,
     basis_matrix,
     index_of,
+    normalized_legendre,
     num_coeffs,
     random_poly,
 )
@@ -284,8 +287,10 @@ class TestGramSolveAgainstSvd:
         calls = {name: record_calls(monkeypatch, np.linalg, name)
                  for name in ("solve", "eigvalsh", "inv", "svd")}
         lsq_solve(filt, family, 5, np.ones(200))
-        # one solve per parity half of G: 21 cosine and 15 sine columns
-        assert calls == {"solve": [(21, 21), (15, 15)], "eigvalsh": [], "inv": [], "svd": []}
+        # one solve per class block of G: cosine or sine columns times the
+        # parity of n - |k|
+        assert calls == {"solve": [(12, 12), (9, 9), (9, 9), (6, 6)], "eigvalsh": [], "inv": [],
+                         "svd": []}
 
     def test_corrupted_solve_raises(self, family, monkeypatch):
         solve = np.linalg.solve
@@ -303,9 +308,9 @@ class TestGramSolveAgainstSvd:
         assert calls == [(200, 16)]
         assert rel_diff(report.solution.coeffs, coeffs) <= 1e-12
         assert report.rank == rank
-        # a values-only SVD agrees with the oracle's to rounding in sigma_max
+        # the singular values come from the solve's SVD, not from a second one
         filtered = filtered_singular_values(filt, family, 3)
-        assert calls == [(200, 16)] * 2
+        assert calls == [(200, 16)]
         np.testing.assert_allclose(filtered, sv, rtol=0, atol=1e-13 * sv[0])
 
     def test_small_singular_value_under_spread_multipliers(self, family):
@@ -379,7 +384,8 @@ class TestSamplingOperator:
         with pytest.raises(ValueError, match="read-only"):
             fam.nodes[0, 0] = 0.25
         op = _operator(fam, 0)
-        for arr in (op.dense, op.bw, op.wide, *op.rings, *(a for blk in op.blocks for a in blk)):
+        for arr in (op.dense, op.bw, op.ring_nodes, *op.rings,
+                    *(a for blk in op.blocks for a in blk)):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0.0
 
@@ -401,6 +407,25 @@ class TestSamplingOperator:
         assert shapes == []
         lsq_solve(partly, fam, 4, y)
         assert shapes == [(22, 22)]
+
+    @pytest.mark.parametrize("n, rule, m, cubic", [
+        (300, "random_in_region", 4,
+         {"eigvalsh": [(22, 22)] * 3, "inv": [(22, 22)], "solve": [(22, 22)], "svd": []}),
+        # N = 50 puts all nodes on two rings: degree 6 is rank deficient
+        (50, "area_center", 6,
+         {"eigvalsh": [(15, 15), (11, 11), (11, 11), (9, 9)], "inv": [], "solve": [],
+          "svd": [(50, 46)]}),
+    ], ids=["partly_active", "svd_path"])
+    def test_reconstruct_runs_each_cubic_step_once(self, monkeypatch, n, rule, m, cubic):
+        # what ``spheredecon reconstruct`` runs: the solve, then the singular
+        # values of the same filtered system; both share one path gate
+        fam = pick_nodes(build_partition(n), rule=rule, seed=4)
+        filt = MultiplierFilter(np.r_[1.0, 0.0, 1.0, 0.5, 0.25, 1.0, 1.0][: m + 1])
+        calls = {name: record_calls(monkeypatch, np.linalg, name) for name in cubic}
+        report = lsq_solve(filt, fam, m, np.ones(n))
+        filtered_singular_values(filt, fam, m)
+        assert calls == cubic
+        assert report.full_rank == (n == 300)
 
 
 class TestSolutionJson:
@@ -435,6 +460,40 @@ def ring_gram(op):
     return gram
 
 
+def parity_classes(m):
+    """Columns (n, k) by class: cosine (k >= 0) or sine side, then n - |k| even or odd."""
+    n = np.repeat(np.arange(m + 1), 2 * np.arange(m + 1) + 1)
+    k = np.arange(num_coeffs(m)) - n * n - n
+    return [np.flatnonzero(((k < 0) == side) & ((n - np.abs(k)) % 2 == parity))
+            for side in (False, True) for parity in (0, 1)]
+
+
+def ring_remainders(fam, m):
+    """Sum over the rings of the weighted norm of their trig Gram entries
+    off the aliasing pattern, in the operator's arithmetic."""
+    k = np.arange(-m, m + 1)
+    a = np.abs(k)
+    c = np.where(a > 0, math.sqrt(2.0), 1.0)
+    total = 0.0
+    for theta in np.unique(fam.nodes[:, 0]):
+        on = np.flatnonzero(fam.nodes[:, 0] == theta)
+        t = _trig(m, fam.nodes[on, 1]) * np.sqrt(fam.weights[on])[:, None]
+        gram_t = t.T @ t.copy()
+        keep = ((k >= 0)[:, None] == (k >= 0)) & (
+            ((a[:, None] - a) % on.size == 0) | ((a[:, None] + a) % on.size == 0))
+        col = c * np.sqrt(np.sum(normalized_legendre(m, theta)[0] ** 2, axis=0))[a]
+        total += float(np.linalg.norm(np.where(keep, 0.0, gram_t) * np.outer(col, col)))
+    return total
+
+
+def tilted(fam, delta):
+    """The family with its northern weights times 1 + delta, southern 1 - delta
+    (an equatorial ring keeps its weights)."""
+    side = np.pi / 2 - fam.nodes[:, 0]
+    return MzFamily(nodes=fam.nodes,
+                    weights=fam.weights * (1 + delta * np.sign(side) * (np.abs(side) > 1e-9)))
+
+
 @st.composite
 def ring_families(draw):
     """(family, m): area-center nodes, 1 <= m <= 24, (m+1)^2 <= N <= 4 (m+1)^2."""
@@ -444,7 +503,7 @@ def ring_families(draw):
 
 
 class TestRingOperator:
-    """Ring families: G from per-order blocks of the wide rings and dense rows."""
+    """Ring families: G from the rings' aliasing patterns and dense rows, in parity classes."""
 
     @settings(max_examples=25, deadline=None)
     @given(case=ring_families())
@@ -453,6 +512,8 @@ class TestRingOperator:
         bw, gram = dense_gram(fam, m)
         op = _operator(fam, m)
         trace = np.trace(gram)
+        for b, g in op.blocks:
+            assert np.linalg.norm(g - gram[np.ix_(b, b)]) <= 1e-13 * trace
         assert np.linalg.norm(ring_gram(op) - gram) <= 1e-13 * trace
         const = mz_constants(fam, m)
         eps_svd = dense_svd_epsilon(bw)
@@ -463,13 +524,16 @@ class TestRingOperator:
         np.linalg.cholesky(gram - const.A * eye)
         np.linalg.cholesky(const.B * eye - gram)
 
-    def test_wide_and_dense_rings_and_parity_halves(self):
+    def test_rings_held_by_pattern_and_parity_classes(self):
         fam = pick_nodes(build_partition(1600))
         op = _operator(fam, 16)
-        # the polar rings alias at degree 16 (25 <= 32 nodes), the others are wide
-        assert 0 < op.dense.size < op.wide.size
-        assert sorted(np.r_[op.dense, op.wide].tolist()) == list(range(1600))
-        assert [b.size for b, _ in op.blocks] == [153, 136]
+        # the polar rings alias at degree 16 (25 <= 32 nodes) and are held by
+        # their aliasing pattern, the others by the diagonal: no dense row
+        assert op.dense.size == 0 and op.bw.shape == (0, num_coeffs(16))
+        assert sorted(op.ring_nodes.tolist()) == list(range(1600))
+        classes = parity_classes(16)
+        assert [b.size for b in classes] == [81, 72, 72, 64]
+        assert [sorted(b.tolist()) for b, _ in op.blocks] == [b.tolist() for b in classes]
         assert 0.0 < op.slack < 1e-12
         rows, _ = design_matrix(identity_multipliers(16), fam, 16)
         np.testing.assert_allclose(rows, dense_gram(fam, 16)[0], rtol=0, atol=1e-14)
@@ -478,14 +542,55 @@ class TestRingOperator:
         np.testing.assert_allclose(reconstruct._adjoint(op, v), rows.T @ v, rtol=0, atol=1e-12)
         np.testing.assert_allclose(reconstruct._apply(op, d), rows @ d, rtol=0, atol=1e-12)
 
-    def test_split_of_an_all_dense_ring_family_charges_the_cross_block(self):
-        # at degree 13 every ring of N = 200 (11 to 25 nodes) aliases
-        fam = pick_nodes(build_partition(200))
-        op = _operator(fam, 13)
-        assert op.wide.size == 0
-        cos, sin = (b for b, _ in op.blocks)
-        gram = dense_gram(fam, 13)[1]
-        assert op.slack == np.linalg.norm(gram[np.ix_(cos, sin)]) > 0.0
+    def test_build_holds_less_than_one_whole_gram(self):
+        fam = pick_nodes(build_partition(4356))
+        _operator(pick_nodes(build_partition(50)), 2)  # first-call allocations
+        tracemalloc.start()
+        try:
+            _operator(fam, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 33**4 * 8
+
+    def test_slack_is_the_norm_of_the_dropped_entries(self):
+        # a 1e-12 north-south tilt of the weights lifts the entries between
+        # the parity classes far above rounding, still below eps N trace G
+        fam = tilted(pick_nodes(build_partition(1600)), 1e-12)
+        op = _operator(fam, 16)
+        assert op.dense.size == 0 and len(op.blocks) == 4
+        gram = dense_gram(fam, 16)[1]
+        cos0, cos1, sin0, sin1 = parity_classes(16)
+        between = max(np.linalg.norm(gram[np.ix_(cos0, cos1)]),
+                      np.linalg.norm(gram[np.ix_(sin0, sin1)]))
+        assert 1e-12 < between < np.finfo(float).eps * 1600 * np.trace(gram)
+        assert op.slack - ring_remainders(fam, 16) == pytest.approx(between, rel=1e-3)
+
+    @pytest.mark.parametrize("asymmetry", ["rotated", "tilted"])
+    def test_equator_asymmetric_family_falls_back(self, asymmetry):
+        base = pick_nodes(build_partition(1600))
+        if asymmetry == "rotated":
+            # the southern aliasing rings lose their pattern and go dense
+            nodes = base.nodes.copy()
+            south = nodes[:, 0] > np.pi / 2
+            nodes[south, 1] = (nodes[south, 1] + 1e-3) % (2 * np.pi)
+            fam = MzFamily(nodes=nodes, weights=base.weights)
+        else:
+            fam = tilted(base, 1e-9)
+        op = _operator(fam, 16)
+        assert len(op.blocks) <= 2
+        if asymmetry == "tilted":
+            # halves: the rings couple no cosine and sine column, and nothing
+            # but their remainders is left out
+            assert [b.size for b, _ in op.blocks] == [153, 136]
+            assert op.slack == ring_remainders(fam, 16)
+        bw, gram = dense_gram(fam, 16)
+        const = mz_constants(fam, 16)
+        eps_svd = dense_svd_epsilon(bw)
+        assert eps_svd <= const.epsilon < eps_svd + 1e-8
+        eye = np.eye(gram.shape[0])
+        np.linalg.cholesky(gram - const.A * eye)
+        np.linalg.cholesky(const.B * eye - gram)
 
     @pytest.mark.parametrize("shift, stays_wide", [(1e-6, False), (1e-12, False), (1e-15, True)])
     def test_perturbed_wide_ring_keeps_epsilon_sound(self, shift, stays_wide):
@@ -493,14 +598,14 @@ class TestRingOperator:
         m = 16
         thetas, counts = np.unique(fam.nodes[:, 0], return_counts=True)
         ring = np.flatnonzero(fam.nodes[:, 0] == thetas[np.argmax(counts)])
-        assert set(ring) <= set(_operator(fam, m).wide)
+        assert set(ring) <= set(_operator(fam, m).ring_nodes)
         nodes = fam.nodes.copy()
         nodes[ring, 1] += shift * np.cos(np.arange(ring.size))
         bumped = MzFamily(nodes=nodes, weights=fam.weights)
         eps = mz_constants(bumped, m).epsilon
         # off the rounding level the ring's rows go dense; below it the ring
-        # stays wide and its remainder enters delta
-        assert (set(ring) <= set(_operator(bumped, m).wide)) == stays_wide
+        # stays held by its pattern and its remainder enters delta
+        assert (set(ring) <= set(_operator(bumped, m).ring_nodes)) == stays_wide
         assert eps >= dense_svd_epsilon(dense_gram(bumped, m)[0])
         assert eps < dense_svd_epsilon(dense_gram(bumped, m)[0]) + 1e-8
 

@@ -8,8 +8,11 @@ import pytest
 from scipy.integrate import quad
 
 from spheredecon.special_functions import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     JacobiParams,
     QuadratureError,
+    _composite_gl,
     adaptive_quadrature,
     delta_m,
     jacobi,
@@ -200,3 +203,38 @@ class TestAdaptiveQuadrature:
             adaptive_quadrature(
                 lambda x: np.stack([x**2, spike(x)]), 0.0, 1.0, tol=1e-14, max_panels=64
             )
+
+
+def one_call_composite_gl(f, lo, hi, panels):
+    """The composite rule with every panel in one integrand call."""
+    edges = np.linspace(lo, hi, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    vals = f(pts.ravel())
+    vals = vals.reshape(vals.shape[:-1] + pts.shape)
+    total = np.sum(vals @ _GL_WEIGHTS * half, axis=-1)
+    return float(total) if total.ndim == 0 else total
+
+
+class TestStreamedPanels:
+    @pytest.mark.parametrize("m_max, panels", [(0, 9), (5, 37), (60, 1001), (200, 800),
+                                               (300, 2403), (400, 3200)])
+    def test_bitwise_equal_to_one_call(self, m_max, panels):
+        calls = []
+
+        def f(r):
+            calls.append(r.size)
+            return jacobi_all(m_max, S2, np.cos(r)) * np.sin(r)
+
+        streamed = _composite_gl(f, 0.0, 0.7, panels)
+        assert np.array_equal(streamed, one_call_composite_gl(f, 0.0, 0.7, panels))
+        # every streamed call (the last call is the reference's) stays within
+        # the value budget, or is the first 4 panels
+        assert max(calls[:-1]) * (m_max + 1) <= max(1 << 22, 48 * (m_max + 1))
+
+    def test_scalar_integrand(self):
+        def f(r):
+            return np.sin(r) ** 2
+
+        assert _composite_gl(f, 0.0, 1.0, 37) == one_call_composite_gl(f, 0.0, 1.0, 37)
