@@ -33,8 +33,6 @@ from .sphere_geometry import (
 from .harmonics import (
     CoefficientVector,
     basis_matrix,
-    eval_basis,
-    eval_poly,
     eval_poly_many,
     embed,
     project,
@@ -63,7 +61,6 @@ from .reconstruct import (
     design_matrix,
     filtered_singular_values,
     lsq_solve,
-    reconstruct_direct,
 )
 from .certify import (
     Certificate,

@@ -5,19 +5,19 @@ sum of squared samples of every polynomial of degree <= m stays between
 A ||q||^2 and B ||q||^2 with 0 < A <= 1 <= B.  Those extreme ratios are the
 extreme eigenvalues of the Gram matrix G = B_w^T B_w of the weighted sampling
 matrix B_w, measured here by dense eigensolves of the blocks the sampling
-operator holds G in (on ring families its four classes, cosine or sine side
-times the parity of n - |k|, or its cosine and sine halves; else G whole).
-The reported A and B are widened by
+operator holds G in (on the ring path its four classes, cosine or sine side
+times the parity of n - |k|; on the dense path G whole).  The reported A and
+B are widened by
 delta = eps * (N trace G + (m+1)^2 lambda_max) + remainder + off-block, eps
 the machine epsilon.  The first term bounds the rounding error of forming G,
 each entry a sum of at most N products whichever way the rings and rows are
 grouped, and of the eigensolves; remainder sums over the rings the
 Frobenius norm of the trig Gram entries off the ring's aliasing pattern,
 weighted by the Legendre column norms, that the order pairs leave out;
-off-block bounds the spectral
-norm of the entries between the blocks that are solved apart: the Frobenius
-norm of the cosine-sine block plus the larger Frobenius norm of the blocks
-between the two parities of one side.  By Weyl's inequality [A, B] encloses
+off-block bounds the spectral norm of the entries between the parity
+classes: the larger Frobenius norm of the blocks between the two parities
+of one side (the rings couple no cosine and sine column).  Both are 0 on
+the dense path.  By Weyl's inequality [A, B] encloses
 the extreme squared singular values of B_w, so epsilon never understates
 them.  From epsilon = max(1-A, B-1), the multiplier decay fit, the
 smoothness exponents and the noise level, ``bound_apriori`` assembles the
@@ -72,7 +72,7 @@ def mz_constants(fam: MzFamily, m: int) -> MzConstants:
     over [A, B] as q runs over the nonzero polynomials of degree <= m; the
     reported A and B enclose the computed range by the margin delta of the
     module docstring (rounding, ring remainders and the entries between the
-    blocks of G).
+    parity classes of G).
     """
     if m < 0:
         raise ValueError("degree must be >= 0")

@@ -33,8 +33,6 @@ __all__ = [
     "index_of",
     "normalized_legendre",
     "basis_matrix",
-    "eval_basis",
-    "eval_poly",
     "eval_poly_many",
     "zonal_kernel",
     "sobolev_norm",
@@ -202,12 +200,6 @@ def _analysis(q, ring_of, trig, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_basis(m: int, ell: int, p: SpherePoint) -> float:
-    """Value of the basis function (m, ell) at a point."""
-    col = index_of(m, ell)
-    return float(basis_matrix(m, np.array([p.theta]), np.array([p.phi]))[0, col])
-
-
 def eval_poly_many(c: CoefficientVector, thetas, phis) -> np.ndarray:
     """Synthesis at many points, without forming the basis matrix.
 
@@ -217,10 +209,6 @@ def eval_poly_many(c: CoefficientVector, thetas, phis) -> np.ndarray:
     the values do not depend on the BLAS thread count.
     """
     return _synthesis(*_rings(c.m_max, thetas, phis), c.coeffs)
-
-
-def eval_poly(c: CoefficientVector, p: SpherePoint) -> float:
-    return float(eval_poly_many(c, np.array([p.theta]), np.array([p.phi]))[0])
 
 
 def zonal_kernel(m: int, x: SpherePoint, y: SpherePoint) -> float:

@@ -19,13 +19,15 @@ every degree active).  ``_operator`` builds them once and keeps them on the
 family, so the frame constants (certify.mz_constants), the solve and the
 design matrix of that pair share one basis build and at most one eigensolve;
 the path gate of the last filter (below) is kept with them, so a solve and
-the singular values of the same filter share it too.  On a ring family the
-operator forms neither B_w nor G whole: each colatitude ring adds the order
-pairs its aliasing pattern keeps and is applied by per-ring synthesis and
-analysis, and on mirror-symmetric rings G is held as four blocks, cosine or
-sine side times the parity of n - |k|, built order pair by order pair; every
-solve and eigensolve then runs per block.  Scattered families keep the dense
-rows and one block.
+the singular values of the same filter share it too.  The operator takes
+one of two paths, picked from the family.  On the ring path (every
+colatitude ring keeps its aliasing pattern and the rings are
+mirror-symmetric, as with area-center nodes) it forms neither B_w nor G
+whole: it holds the ring factors, applied by per-ring synthesis and
+analysis, and G as four blocks, cosine or sine side times the parity of
+n - |k|, built order pair by order pair; every solve and eigensolve then
+runs per block.  On the dense path (every other family) it holds B_w and
+G = B_w^T B_w as one block.
 
 The SVD pseudoinverse of the filtered matrix, with relative cutoff 1e-12,
 runs instead when G is singular to half the working precision or when the
@@ -46,7 +48,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .filters import MultiplierFilter, identity_multipliers
+from .filters import MultiplierFilter
 from .harmonics import (
     CoefficientVector,
     _analysis,
@@ -60,7 +62,7 @@ from .harmonics import (
 from .sphere_geometry import MzFamily
 
 __all__ = ["LsqReport", "design_matrix", "filtered_singular_values", "lsq_solve",
-           "reconstruct_direct", "solution_to_json"]
+           "solution_to_json"]
 
 _SVD_RCOND = 1e-12
 # The normal equations lose about eps * cond G: beyond 1/sqrt(eps) they would
@@ -85,22 +87,23 @@ def active_degrees(filt: MultiplierFilter, m: int) -> tuple:
 
 
 class _Operator(NamedTuple):
-    """The sampling operator B_w of one (family, degree) pair, without B_w.
+    """The sampling operator B_w of one (family, degree) pair.
 
-    Nodes on rings held by their pattern are kept as their ring factors (Q,
-    ring of each node, sqrt(tau)-weighted azimuthal factors); every other
-    node as its row of B_w.  G is held as its diagonal blocks (b, G[b, b])
-    over column index blocks b; slack bounds the spectral norm of what the
-    blocks leave out of G (ring remainders and the entries between blocks),
-    which the frame constants add to their rounding margin.  system is the
-    path gate of the last filter solved with (``_active_system``).
+    On the ring path (``_operator``) it holds the ring factors (Q per ring,
+    the ring of each node, the sqrt(tau)-weighted azimuthal factors) in
+    rings and bw is None; on the dense path B_w itself in bw and rings is
+    None.  G is held as its diagonal blocks (b, G[b, b]) over column index
+    blocks b: the four parity classes on the ring path, one block on the
+    dense path.  slack bounds the spectral norm of what the blocks leave out
+    of G (ring remainders and the entries between the parity classes; 0 on
+    the dense path), which the frame constants add to their rounding margin.
+    system is the path gate of the last filter solved with
+    (``_active_system``).
     """
 
     m: int
-    dense: np.ndarray
-    bw: np.ndarray
-    ring_nodes: np.ndarray
-    rings: tuple
+    bw: Optional[np.ndarray]
+    rings: Optional[tuple]
     blocks: tuple
     slack: float
     lam: Optional[np.ndarray] = None
@@ -110,30 +113,30 @@ class _Operator(NamedTuple):
 def _operator(fam: MzFamily, m: int) -> _Operator:
     """The read-only sampling operator of the family at degree m.
 
-    A colatitude ring of l >= 2 nodes has the weighted trig Gram
+    It takes one of two paths, picked from the family itself.  A colatitude
+    ring of l >= 2 nodes has the weighted trig Gram
     T = sum_j tau_j t(phi_j) t(phi_j)^T, t the azimuthal factors of degree
     m.  On offset equispaced longitudes, as on the rings of area-center
     nodes, T couples orders k and k' only on the same (cosine or sine) side
     and when |k| = +-|k'| (mod l): its aliasing pattern, the diagonal when
-    l > 2m.  A ring whose entries off the pattern stay below the rounding
-    bound (2m+1) l eps max T[k, k] is held by its pattern: it adds
+    l > 2m.  A ring keeps to its pattern when its entries off the pattern
+    stay below the rounding bound (2m+1) l eps max T[k, k]; it then adds
     c_k c_k' T[k, k'] Q[:, |k|] Q[:, |k'|]^T (c = sqrt 2 off k = 0) to G
     for each kept order pair, and the Frobenius norm of the entries left
-    out, weighted by the column norms of c Q, is its remainder.  Every
-    other node enters through its row of B_w.
+    out, weighted by the column norms of c Q, is its remainder.  Held rings
+    never couple a cosine and a sine column.  With mirror-symmetric rings,
+    Q(pi - theta)[n, k] = (-1)^(n-k) Q(theta)[n, k] makes G block-diagonal
+    in four classes of columns (n, k): cosine or sine side times the parity
+    of n - |k|.  G is built class block by class block, order pair by order
+    pair, never whole; the Frobenius norms of the blocks P between the
+    parities of one side are taken from those entries themselves.
 
-    With mirror-symmetric rings, Q(pi - theta)[n, k] = (-1)^(n-k) Q(theta)[n, k]
-    makes G block-diagonal in four classes of columns (n, k): cosine or
-    sine side times the parity of n - |k|.  G is built class block by class
-    block, order pair by order pair, never whole; the Frobenius norms of
-    the block C between the sides and of the blocks P between the parities
-    of one side are taken from those entries themselves.  When
-    ||C|| + max ||P|| is below eps N trace G, G is held as the four class
-    blocks and that sum joins slack (Weyl: it bounds the spectral norm of
-    the entries left out); otherwise as its cosine and sine halves, charged
-    ||C||, if that is below the bound; otherwise whole.  A family with no
-    ring held by its pattern (scattered nodes) is its dense rows and one
-    block, G = B_w^T B_w.
+    Ring path: every colatitude holds >= 2 nodes, every ring keeps to its
+    pattern and max ||P|| is below eps N trace G.  The operator holds the
+    ring factors and the four class blocks, and slack is the sum of the
+    ring remainders and max ||P|| (Weyl: it bounds the spectral norm of the
+    entries left out).  Dense path, every other family (scattered nodes):
+    B_w and one block G = B_w^T B_w, slack 0.
 
     The family keeps the last degree's operator in its one slot, with
     eigvalsh(G) added when ``_gram_eigenvalues`` first needs it and the path
@@ -164,71 +167,66 @@ def _class_columns(m: int):
 
 
 def _build_operator(fam: MzFamily, m: int) -> _Operator:
+    op = _ring_operator(fam, m)
+    if op is None:
+        bw = basis_matrix(m, fam.nodes[:, 0], fam.nodes[:, 1])
+        bw *= np.sqrt(fam.weights)[:, None]
+        gram = bw.T @ bw
+        op = _Operator(m, bw, None, ((np.arange(gram.shape[0]), gram),), 0.0)
+    for arr in (*(op.rings or (op.bw,)), *(a for block in op.blocks for a in block)):
+        arr.flags.writeable = False
+    return op
+
+
+def _ring_operator(fam: MzFamily, m: int) -> Optional[_Operator]:
+    """The ring path of ``_operator``, or None where the family leaves it."""
     eps = np.finfo(float).eps
-    n_nodes = len(fam.nodes)
-    thetas, phis = fam.nodes[:, 0], fam.nodes[:, 1]
-    sqrt_w = np.sqrt(fam.weights)
-    colat, ring_of, counts = np.unique(thetas, return_inverse=True, return_counts=True)
-    cand = np.flatnonzero(counts > 1)  # a ring of one node is scattered
-    ringed = np.argsort(ring_of, kind="stable")[np.repeat(counts > 1, counts)]
-    starts = np.concatenate([[0], np.cumsum(counts[cand])]).tolist()
-    trig = _trig(m, phis[ringed])
-    trig *= sqrt_w[ringed, None]
-    q = normalized_legendre(m, colat[cand])
+    colat, ring_of, counts = np.unique(fam.nodes[:, 0], return_inverse=True,
+                                       return_counts=True)
+    if counts.min() < 2:
+        return None
+    order = np.argsort(ring_of, kind="stable")  # the identity for nodes stored ring by ring
+    starts = np.concatenate([[0], np.cumsum(counts)]).tolist()
+    trig = _trig(m, fam.nodes[:, 1])
+    trig *= np.sqrt(fam.weights)[:, None]
+    q = normalized_legendre(m, colat)
     k = np.arange(-m, m + 1)
     abs_k = np.abs(k)
     c = np.where(abs_k > 0, math.sqrt(2.0), 1.0)
     col = c * np.sqrt(np.sum(q**2, axis=1))[:, abs_k]  # norms of the columns c_k Q[:, |k|]
     same_side = (k >= 0)[:, None] == (k >= 0)
     patterns, slack = {}, 0.0
-    held, diag, pairs = [], [], []  # per held ring: its index, c^2 diag T, kept j < j'
-    for i, ell in enumerate(counts[cand].tolist()):
+    diag, pairs = [], []  # per ring: c^2 diag T, kept j < j'
+    for i, ell in enumerate(counts.tolist()):
         period = min(ell, 2 * m + 1)  # beyond 2m nodes the pattern is the diagonal
         if period not in patterns:
             keep = same_side & (((abs_k[:, None] - abs_k) % period == 0)
                                 | ((abs_k[:, None] + abs_k) % period == 0))
             patterns[period] = keep, np.nonzero(np.triu(keep, 1))
         keep, (j, jj) = patterns[period]
-        t = trig[starts[i]:starts[i + 1]]
+        t = trig[order[starts[i]:starts[i + 1]]]
         gram_t = t.T @ t.copy()  # GEMM: numpy sends t.T @ t to SYRK, erratic at 2 threads
         off = np.where(keep, 0.0, gram_t)
-        if np.max(np.abs(off)) <= (2 * m + 1) * ell * eps * gram_t.diagonal().max():
-            slack += float(np.linalg.norm(off * np.outer(col[i], col[i])))
-            pairs.append((np.full(j.size, len(held)), j, jj, c[j] * gram_t[j, jj] * c[jj]))
-            held.append(i)
-            diag.append(c * c * gram_t.diagonal())
-    kept = np.repeat(np.isin(np.arange(cand.size), held), counts[cand])
-    ring_nodes = ringed[kept]
-    on_rings = np.zeros(n_nodes, dtype=bool)
-    on_rings[ring_nodes] = True
-    dense = np.flatnonzero(~on_rings)
-    if dense.size:
-        bw = basis_matrix(m, thetas[dense], phis[dense])
-        bw *= sqrt_w[dense, None]
-    else:
-        bw = np.empty((0, num_coeffs(m)))
-    rings = (q[held], np.repeat(np.arange(len(held)), counts[cand][held]),
-             trig if kept.all() else trig[kept])
-    if held:
-        pairs = tuple(np.concatenate(x) for x in zip(*pairs))
-        blocks, left_out = _class_blocks(m, rings[0], np.array(diag), pairs, bw, eps * n_nodes)
-        slack += left_out
-    else:
-        gram = bw.T @ bw
-        blocks = [(np.arange(gram.shape[0]), gram)]
-    for arr in (dense, bw, ring_nodes, *rings, *(a for block in blocks for a in block)):
-        arr.flags.writeable = False
-    return _Operator(m, dense, bw, ring_nodes, rings, tuple(blocks), slack)
+        if np.max(np.abs(off)) > (2 * m + 1) * ell * eps * gram_t.diagonal().max():
+            return None
+        slack += float(np.linalg.norm(off * np.outer(col[i], col[i])))
+        pairs.append((np.full(j.size, i), j, jj, c[j] * gram_t[j, jj] * c[jj]))
+        diag.append(c * c * gram_t.diagonal())
+    pairs = tuple(np.concatenate(x) for x in zip(*pairs))
+    classes = _class_blocks(m, q, np.array(diag), pairs, eps * len(fam.nodes))
+    if classes is None:
+        return None
+    blocks, between = classes
+    return _Operator(m, None, (q, ring_of, trig), blocks, slack + between)
 
 
-def _class_blocks(m: int, q: np.ndarray, diag: np.ndarray, pairs: tuple, bw: np.ndarray,
-                  eps_n: float):
-    """The blocks of G over the four classes, or its halves, or G whole, and
-    the norm they leave out (see ``_operator``).
+def _class_blocks(m: int, q: np.ndarray, diag: np.ndarray, pairs: tuple, eps_n: float):
+    """The four class blocks of G and max ||P|| (see ``_operator``), or None
+    when max ||P|| reaches the budget eps_n trace G.
 
-    q holds the Legendre factors of the held rings, diag[r, j] their weights
+    q holds the Legendre factors of the rings, diag[r, j] their weights
     c_k^2 T[j, j] (j = m + k), and pairs = (r, j, j', w) their kept order
-    pairs j < j' with weights c_k c_k' T[j, j']; bw holds the dense rows.
+    pairs j < j' with weights c_k c_k' T[j, j'].
     """
     cols, off = _class_columns(m)
     gram = [np.zeros((b.size, b.size)) for b in cols]
@@ -249,7 +247,7 @@ def _class_blocks(m: int, q: np.ndarray, diag: np.ndarray, pairs: tuple, bw: np.
             cross[o0[b]:o0[b + 1], o1[a]:o1[a + 1]] = blk[1::2, 0::2].T
 
     qt = np.ascontiguousarray(q.transpose(2, 1, 0))  # (order, degree, ring)
-    for j in range(2 * m + 1):  # every held ring keeps the diagonal pairs
+    for j in range(2 * m + 1):  # every ring keeps the diagonal pairs
         a = abs(j - m)
         put(j, j, (qt[a, a:] * diag[:, j]) @ qt[a, a:].T)
     order = np.argsort(pairs[1] * (2 * m + 1) + pairs[2], kind="stable")
@@ -258,26 +256,10 @@ def _class_blocks(m: int, q: np.ndarray, diag: np.ndarray, pairs: tuple, bw: np.
     for lo, hi in zip(first.tolist(), first[1:].tolist() + [j.size]):
         a, b, r = abs(int(j[lo]) - m), abs(int(jj[lo]) - m), ring[lo:hi]
         put(int(j[lo]), int(jj[lo]), (qt[a, a:][:, r] * w[lo:hi]) @ qt[b, b:][:, r].T)
-    between_sides = None
-    if bw.shape[0]:
-        for b, g in zip(cols, gram):
-            g += bw[:, b].T @ bw[:, b]
-        for s in (0, 1):
-            between_parities[s] += bw[:, cols[2 * s]].T @ bw[:, cols[2 * s + 1]]
-        between_sides = bw[:, np.r_[cols[0], cols[1]]].T @ bw[:, np.r_[cols[2], cols[3]]]
-    budget = eps_n * sum(np.trace(g) for g in gram)
-    side_norm = float(np.linalg.norm(between_sides)) if between_sides is not None else 0.0
-    parity_norm = max(float(np.linalg.norm(x)) for x in between_parities)
-    if side_norm + parity_norm < budget:
-        return [(b, g) for b, g in zip(cols, gram) if b.size], side_norm + parity_norm
-    halves = [(np.r_[cols[2 * s], cols[2 * s + 1]],
-               np.block([[gram[2 * s], between_parities[s]],
-                         [between_parities[s].T, gram[2 * s + 1]]])) for s in (0, 1)]
-    if side_norm < budget:
-        return [(b, g) for b, g in halves if b.size], side_norm
-    # held rings couple no cosine and sine column, so the dense rows did
-    (b0, h0), (b1, h1) = halves
-    return [(np.r_[b0, b1], np.block([[h0, between_sides], [between_sides.T, h1]]))], 0.0
+    between = max(float(np.linalg.norm(x)) for x in between_parities)
+    if between >= eps_n * sum(np.trace(g) for g in gram):
+        return None
+    return tuple((b, g) for b, g in zip(cols, gram) if b.size), between
 
 
 def _gram_eigenvalues(fam: MzFamily, m: int) -> np.ndarray:
@@ -297,28 +279,17 @@ def _block_eigenvalues(blocks) -> np.ndarray:
 
 def _apply(op: _Operator, d: np.ndarray) -> np.ndarray:
     """B_w d."""
-    out = np.empty(op.dense.size + op.ring_nodes.size)
-    out[op.dense] = op.bw @ d
-    if op.ring_nodes.size:
-        out[op.ring_nodes] = _synthesis(*op.rings, d)
-    return out
+    return op.bw @ d if op.rings is None else _synthesis(*op.rings, d)
 
 
 def _adjoint(op: _Operator, v: np.ndarray) -> np.ndarray:
     """B_w^T v."""
-    out = op.bw.T @ v[op.dense]
-    if op.ring_nodes.size:
-        out += _analysis(*op.rings, v[op.ring_nodes])
-    return out
+    return op.bw.T @ v if op.rings is None else _analysis(*op.rings, v)
 
 
 def _rows(op: _Operator) -> np.ndarray:
     """B_w itself, for the SVD and the design matrix."""
-    out = np.empty((op.dense.size + op.ring_nodes.size, op.bw.shape[1]))
-    out[op.dense] = op.bw
-    if op.ring_nodes.size:
-        out[op.ring_nodes] = _basis_rows(*op.rings)
-    return out
+    return op.bw if op.rings is None else _basis_rows(*op.rings)
 
 
 def _column_multipliers(filt: MultiplierFilter, fam: MzFamily, m: int) -> np.ndarray:
@@ -501,11 +472,6 @@ def filtered_singular_values(filt: MultiplierFilter, fam: MzFamily, m: int) -> n
     small = 1.0 / _block_eigenvalues(inv_big)[::-1]
     sq = np.where(big >= np.sqrt(big[-1] * small[0]), big, small)
     return np.sqrt(sq[::-1])
-
-
-def reconstruct_direct(fam: MzFamily, m: int, y: np.ndarray) -> LsqReport:
-    """Plain sampling reconstruction: least squares with the identity filter."""
-    return lsq_solve(identity_multipliers(m), fam, m, y)
 
 
 def solution_to_json(report: LsqReport, sv: np.ndarray) -> dict:

@@ -19,8 +19,6 @@ from spheredecon.harmonics import (
     coeffs_from_json,
     coeffs_to_json,
     embed,
-    eval_basis,
-    eval_poly,
     eval_poly_many,
     index_of,
     normalized_legendre,
@@ -199,10 +197,15 @@ class TestMatrixFreeSynthesis:
         assert np.max(np.abs(_analysis(*_rings(c.m_max, thetas, phis), v) - dense)) <= tol
 
 
+def basis_at(m, ell, theta, phi):
+    """Value of the basis function (m, ell) at one point, from its degree-m basis row."""
+    return float(basis_matrix(m, [theta], [phi])[0, index_of(m, ell)])
+
+
 class TestEvalBasis:
     def test_constant_function(self):
         for theta, phi in [(0.0, 0.0), (1.0, 2.0), (math.pi, 0.0)]:
-            assert eval_basis(0, 1, SpherePoint(theta, phi)) == pytest.approx(1.0, abs=1e-14)
+            assert basis_at(0, 1, theta, phi) == pytest.approx(1.0, abs=1e-14)
 
     def test_addition_theorem_diagonal(self):
         thetas, phis = random_sphere_points(20, seed=3)
@@ -221,13 +224,14 @@ class TestEvalBasis:
 class TestEvalPoly:
     def test_constant(self):
         c = CoefficientVector(3, np.eye(16)[0])
-        assert eval_poly(c, SpherePoint(0.7, 1.1)) == pytest.approx(1.0, abs=1e-14)
+        assert eval_poly_many(c, [0.7], [1.1])[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_unit_coefficient_linearity(self):
-        p = SpherePoint(1.234, 4.321)
+        theta, phi = 1.234, 4.321
         for m, ell in [(1, 2), (3, 5), (4, 9)]:
             c = CoefficientVector(4, np.eye(25)[index_of(m, ell)])
-            assert eval_poly(c, p) == pytest.approx(eval_basis(m, ell, p), abs=1e-13)
+            assert eval_poly_many(c, [theta], [phi])[0] == pytest.approx(
+                basis_at(m, ell, theta, phi), abs=1e-13)
 
     def test_matches_naive_sum_oracle(self):
         rng = np.random.default_rng(11)
@@ -235,9 +239,8 @@ class TestEvalPoly:
         thetas, phis = random_sphere_points(10, seed=8)
         vals = eval_poly_many(c, thetas, phis)
         for i in range(10):
-            p = SpherePoint(thetas[i], phis[i])
             naive = sum(
-                c.coeffs[index_of(m, ell)] * eval_basis(m, ell, p)
+                c.coeffs[index_of(m, ell)] * basis_at(m, ell, thetas[i], phis[i])
                 for m in range(6)
                 for ell in range(1, 2 * m + 2)
             )

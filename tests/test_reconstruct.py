@@ -25,7 +25,6 @@ from spheredecon.reconstruct import (
     design_matrix,
     filtered_singular_values,
     lsq_solve,
-    reconstruct_direct,
     solution_to_json,
 )
 from spheredecon.certify import mz_constants
@@ -118,7 +117,7 @@ class TestLsqSolve:
     def test_exact_recovery_identity(self, family, m):
         truth = random_poly(m, sigma=0.0, seed=m)
         y = sample_at(truth, family.nodes)
-        report = reconstruct_direct(family, m, y)
+        report = lsq_solve(identity_multipliers(m), family, m, y)
         err = np.linalg.norm(report.solution.coeffs - truth.coeffs)
         assert err / truth.l2_norm() <= 1e-9
         assert report.full_rank
@@ -133,7 +132,7 @@ class TestLsqSolve:
         assert err / truth.l2_norm() <= 1e-9
 
     def test_constant_data(self, family):
-        report = reconstruct_direct(family, 3, np.full(200, 5.0))
+        report = lsq_solve(identity_multipliers(3), family, 3, np.full(200, 5.0))
         expected = np.zeros(num_coeffs(3))
         expected[0] = 5.0
         np.testing.assert_allclose(report.solution.coeffs, expected, atol=1e-10)
@@ -145,7 +144,7 @@ class TestLsqSolve:
         m = 4
         f = CoefficientVector(m + 1, np.eye(num_coeffs(m + 1))[index_of(m + 1, 3)])
         y = sample_at(f, family.nodes)
-        report = reconstruct_direct(family, m, y)
+        report = lsq_solve(identity_multipliers(m), family, m, y)
         diff = f.coeffs.copy()
         diff[: num_coeffs(m)] -= report.solution.coeffs
         err = np.linalg.norm(diff)
@@ -182,7 +181,7 @@ class TestLsqSolve:
         y = sample_at(truth, family.nodes) + add_noise(np.zeros(200), 0.01, seed=8)
         prev = None
         for m in range(7):
-            res = reconstruct_direct(family, m, y).residual
+            res = lsq_solve(identity_multipliers(m), family, m, y).residual
             if prev is not None:
                 assert res <= prev + 1e-12
             prev = res
@@ -203,7 +202,7 @@ class TestLsqSolve:
         # N = 50 puts all nodes on two latitude rings: degree 6 is unresolvable
         fam = pick_nodes(build_partition(50))
         y = np.ones(50)
-        report = reconstruct_direct(fam, 6, y)
+        report = lsq_solve(identity_multipliers(6), fam, 6, y)
         assert not report.full_rank
         assert report.rank < num_coeffs(6)
         coeffs, sv, rank = svd_oracle(identity_multipliers(6), fam, 6, y)
@@ -383,11 +382,12 @@ class TestSamplingOperator:
             fam.weights[0] = 0.25
         with pytest.raises(ValueError, match="read-only"):
             fam.nodes[0, 0] = 0.25
-        op = _operator(fam, 0)
-        for arr in (op.dense, op.bw, op.ring_nodes, *op.rings,
-                    *(a for blk in op.blocks for a in blk)):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[...] = 0.0
+        # the dense path holds B_w, the ring path the ring factors, never both
+        for op in (_operator(fam, 0), _operator(pick_nodes(build_partition(50)), 2)):
+            assert (op.bw is None) != (op.rings is None)
+            for arr in (*(op.rings or (op.bw,)), *(a for blk in op.blocks for a in blk)):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0.0
 
     def test_partly_active_filter_takes_the_submatrix_eigenvalues(self, monkeypatch):
         partly = MultiplierFilter(np.array([1.0, 0.0, 1.0, 0.5, 0.25]))
@@ -430,7 +430,7 @@ class TestSamplingOperator:
 
 class TestSolutionJson:
     def test_fields(self, family):
-        report = reconstruct_direct(family, 2, np.ones(200))
+        report = lsq_solve(identity_multipliers(2), family, 2, np.ones(200))
         obj = solution_to_json(report, filtered_singular_values(identity_multipliers(2),
                                                                 family, 2))
         assert obj["m_max"] == 2
@@ -494,6 +494,21 @@ def tilted(fam, delta):
                     weights=fam.weights * (1 + delta * np.sign(side) * (np.abs(side) > 1e-9)))
 
 
+def rotated_south(fam, shift=1e-3):
+    """The family with its southern nodes turned by shift in longitude."""
+    nodes = fam.nodes.copy()
+    south = nodes[:, 0] > np.pi / 2
+    nodes[south, 1] = (nodes[south, 1] + shift) % (2 * np.pi)
+    return MzFamily(nodes=nodes, weights=fam.weights)
+
+
+def with_pole_pair(fam):
+    """The family plus two nodes at the north pole, off any ring's pattern,
+    all weights equal."""
+    n = len(fam.nodes) + 2
+    return MzFamily(nodes=np.r_[[[0.0, 0.3], [0.0, 1.1]], fam.nodes], weights=np.full(n, 1.0 / n))
+
+
 @st.composite
 def ring_families(draw):
     """(family, m): area-center nodes, 1 <= m <= 24, (m+1)^2 <= N <= 4 (m+1)^2."""
@@ -503,7 +518,7 @@ def ring_families(draw):
 
 
 class TestRingOperator:
-    """Ring families: G from the rings' aliasing patterns and dense rows, in parity classes."""
+    """The two paths: ring families as four parity-class blocks, every other family dense."""
 
     @settings(max_examples=25, deadline=None)
     @given(case=ring_families())
@@ -524,13 +539,30 @@ class TestRingOperator:
         np.linalg.cholesky(gram - const.A * eye)
         np.linalg.cholesky(const.B * eye - gram)
 
+    @settings(max_examples=50, deadline=None)
+    @given(case=ring_families())
+    def test_area_center_families_take_the_ring_path(self, case):
+        # every area-center family whose colatitudes each hold >= 2 nodes
+        # takes the ring path, G in its (nonempty) parity classes; the
+        # partitions of N = 51..59 and 63 have a one-node ring and go dense
+        fam, m = case
+        op = _operator(fam, m)
+        if np.unique(fam.nodes[:, 0], return_counts=True)[1].min() < 2:
+            assert op.rings is None and len(op.blocks) == 1
+            return
+        assert op.bw is None
+        assert [sorted(b.tolist()) for b, _ in op.blocks] == [
+            b.tolist() for b in parity_classes(m) if b.size]
+
     def test_rings_held_by_pattern_and_parity_classes(self):
         fam = pick_nodes(build_partition(1600))
         op = _operator(fam, 16)
         # the polar rings alias at degree 16 (25 <= 32 nodes) and are held by
-        # their aliasing pattern, the others by the diagonal: no dense row
-        assert op.dense.size == 0 and op.bw.shape == (0, num_coeffs(16))
-        assert sorted(op.ring_nodes.tolist()) == list(range(1600))
+        # their aliasing pattern, the others by the diagonal: the ring path
+        assert op.bw is None
+        q, ring_of, trig = op.rings
+        assert q.shape[0] == np.unique(fam.nodes[:, 0]).size and trig.shape == (1600, 33)
+        np.testing.assert_array_equal(np.unique(fam.nodes[:, 0])[ring_of], fam.nodes[:, 0])
         classes = parity_classes(16)
         assert [b.size for b in classes] == [81, 72, 72, 64]
         assert [sorted(b.tolist()) for b, _ in op.blocks] == [b.tolist() for b in classes]
@@ -541,6 +573,17 @@ class TestRingOperator:
         d = np.random.default_rng(41).standard_normal(num_coeffs(16))
         np.testing.assert_allclose(reconstruct._adjoint(op, v), rows.T @ v, rtol=0, atol=1e-12)
         np.testing.assert_allclose(reconstruct._apply(op, d), rows @ d, rtol=0, atol=1e-12)
+        # nodes stored in any order: the ring of each node groups them
+        perm = np.random.default_rng(42).permutation(1600)
+        shuffled = _operator(MzFamily(nodes=fam.nodes[perm], weights=fam.weights[perm]), 16)
+        assert shuffled.bw is None
+        for (b, g), (b_s, g_s) in zip(op.blocks, shuffled.blocks):
+            np.testing.assert_array_equal(b_s, b)
+            np.testing.assert_allclose(g_s, g, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(reconstruct._adjoint(shuffled, v[perm]), rows.T @ v, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(reconstruct._apply(shuffled, d), (rows @ d)[perm], rtol=0,
+                                   atol=1e-12)
 
     def test_build_holds_less_than_one_whole_gram(self):
         fam = pick_nodes(build_partition(4356))
@@ -558,7 +601,7 @@ class TestRingOperator:
         # the parity classes far above rounding, still below eps N trace G
         fam = tilted(pick_nodes(build_partition(1600)), 1e-12)
         op = _operator(fam, 16)
-        assert op.dense.size == 0 and len(op.blocks) == 4
+        assert op.bw is None and len(op.blocks) == 4
         gram = dense_gram(fam, 16)[1]
         cos0, cos1, sin0, sin1 = parity_classes(16)
         between = max(np.linalg.norm(gram[np.ix_(cos0, cos1)]),
@@ -569,21 +612,13 @@ class TestRingOperator:
     @pytest.mark.parametrize("asymmetry", ["rotated", "tilted"])
     def test_equator_asymmetric_family_falls_back(self, asymmetry):
         base = pick_nodes(build_partition(1600))
-        if asymmetry == "rotated":
-            # the southern aliasing rings lose their pattern and go dense
-            nodes = base.nodes.copy()
-            south = nodes[:, 0] > np.pi / 2
-            nodes[south, 1] = (nodes[south, 1] + 1e-3) % (2 * np.pi)
-            fam = MzFamily(nodes=nodes, weights=base.weights)
-        else:
-            fam = tilted(base, 1e-9)
+        # rotated: the southern aliasing rings lose their pattern; tilted: the
+        # entries between the parity classes pass eps N trace G.  Either way
+        # the family takes the dense path: one block, nothing left out.
+        fam = rotated_south(base) if asymmetry == "rotated" else tilted(base, 1e-9)
         op = _operator(fam, 16)
-        assert len(op.blocks) <= 2
-        if asymmetry == "tilted":
-            # halves: the rings couple no cosine and sine column, and nothing
-            # but their remainders is left out
-            assert [b.size for b, _ in op.blocks] == [153, 136]
-            assert op.slack == ring_remainders(fam, 16)
+        assert op.rings is None and [b.size for b, _ in op.blocks] == [num_coeffs(16)]
+        assert op.slack == 0.0
         bw, gram = dense_gram(fam, 16)
         const = mz_constants(fam, 16)
         eps_svd = dense_svd_epsilon(bw)
@@ -592,29 +627,39 @@ class TestRingOperator:
         np.linalg.cholesky(gram - const.A * eye)
         np.linalg.cholesky(const.B * eye - gram)
 
-    @pytest.mark.parametrize("shift, stays_wide", [(1e-6, False), (1e-12, False), (1e-15, True)])
-    def test_perturbed_wide_ring_keeps_epsilon_sound(self, shift, stays_wide):
+    @pytest.mark.parametrize("shift, on_ring_path", [(1e-6, False), (1e-12, False), (1e-15, True)])
+    def test_perturbed_wide_ring_keeps_epsilon_sound(self, shift, on_ring_path):
         fam = pick_nodes(build_partition(1600))
         m = 16
         thetas, counts = np.unique(fam.nodes[:, 0], return_counts=True)
         ring = np.flatnonzero(fam.nodes[:, 0] == thetas[np.argmax(counts)])
-        assert set(ring) <= set(_operator(fam, m).ring_nodes)
+        assert _operator(fam, m).bw is None
         nodes = fam.nodes.copy()
         nodes[ring, 1] += shift * np.cos(np.arange(ring.size))
         bumped = MzFamily(nodes=nodes, weights=fam.weights)
         eps = mz_constants(bumped, m).epsilon
-        # off the rounding level the ring's rows go dense; below it the ring
-        # stays held by its pattern and its remainder enters delta
-        assert (set(ring) <= set(_operator(bumped, m).ring_nodes)) == stays_wide
+        # off the rounding level the family takes the dense path; below it
+        # the family stays on the ring path and the ring's remainder enters delta
+        assert (_operator(bumped, m).bw is None) == on_ring_path
         assert eps >= dense_svd_epsilon(dense_gram(bumped, m)[0])
         assert eps < dense_svd_epsilon(dense_gram(bumped, m)[0]) + 1e-8
 
+    @pytest.mark.parametrize("kind", ["scattered", "pole_pair", "rotated", "tilted"])
     @pytest.mark.parametrize("m", [2, 5, 9])
     @pytest.mark.parametrize("filt_b", [None, [1.0, 0.0, 0.5, 0.25, 1.0, 1.0, 0.5, 0.2, 0.1, 0.3]],
                              ids=["cap", "partly_active"])
-    def test_scattered_family_is_bitwise_the_dense_arithmetic(self, m, filt_b):
-        fam = pick_nodes(build_partition(max(50, 4 * num_coeffs(m))), rule="random_in_region",
-                         seed=m)
+    def test_scattered_family_is_bitwise_the_dense_arithmetic(self, m, filt_b, kind):
+        if kind == "scattered":
+            fam = pick_nodes(build_partition(max(50, 4 * num_coeffs(m))),
+                             rule="random_in_region", seed=m)
+        else:
+            # area-center families off the ring path: N >= 60 gives two-node
+            # rings, which alias (and so lose their pattern when turned) at m = 2
+            base = pick_nodes(build_partition(max(60, 4 * num_coeffs(m))))
+            fam = {"pole_pair": with_pole_pair, "rotated": rotated_south,
+                   "tilted": lambda f: tilted(f, 1e-9)}[kind](base)
+        op = _operator(fam, m)
+        assert op.rings is None and len(op.blocks) == 1 and op.slack == 0.0
         filt = cap_multipliers(THETA_41, m) if filt_b is None else MultiplierFilter(
             np.array(filt_b[: m + 1]))
         y = np.random.default_rng(m).standard_normal(len(fam.nodes))
