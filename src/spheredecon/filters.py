@@ -11,6 +11,10 @@ of P^{1,1}; the Planck beam and the lunar point spread function are computed
 by quadrature.  Decay and lower-bound fits |b_m| <= c (1+m(m+1))^{-gamma/2}
 and |b_m| >= c0 (1+m(m+1))^{-zeta/2} are finite-range: they hold for the
 stored degrees only, and certificates must quote that range.
+
+Importing this module loads numpy only.  scipy is imported on first use by
+``PlanckProfile.evaluate`` (J1) and by ``TabulatedProfile`` (PCHIP), which
+``radial_laplacian`` and ``smoothness_bound`` with K >= 1 build.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import j1 as _bessel_j1
 
 from .special_functions import (
     JacobiParams,
@@ -92,11 +94,13 @@ class PlanckProfile:
             raise ValueError("planck profile needs lam0 > 0 and radius > 0")
 
     def evaluate(self, r):
+        from scipy.special import j1
+
         r = np.asarray(r, dtype=float)
         z = 4.0 * math.pi * self.radius * np.sin(r / 2)
         small = np.abs(z) < 1e-4
         zs = np.where(small, 1.0, z)
-        ratio = np.where(small, 0.5 - z * z / 16.0, _bessel_j1(zs) / zs)  # J1(z)/z
+        ratio = np.where(small, 0.5 - z * z / 16.0, j1(zs) / zs)  # J1(z)/z
         return (2.0 * math.pi * self.lam0 * ratio) ** 2
 
     @property
@@ -159,6 +163,8 @@ class TabulatedProfile:
             raise ValueError("abscissae must be strictly increasing")
         if r[0] > 1e-12 or r[-1] < math.pi - 1e-12:
             raise ValueError("abscissae must cover [0, pi]")
+        from scipy.interpolate import PchipInterpolator
+
         object.__setattr__(self, "_interp", PchipInterpolator(r, v, extrapolate=True))
 
     def evaluate(self, rr):

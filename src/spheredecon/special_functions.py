@@ -9,11 +9,11 @@ computations built on top of this module stay general.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "JacobiParams",
@@ -89,7 +89,7 @@ def jacobi_at_one(m: int, params: JacobiParams) -> float:
     if m < 0:
         raise ValueError("degree must be >= 0")
     a = params.a
-    return float(np.exp(gammaln(m + a + 1) - gammaln(m + 1) - gammaln(a + 1)))
+    return float(np.exp(math.lgamma(m + a + 1) - math.lgamma(m + 1) - math.lgamma(a + 1)))
 
 
 def lambda_sq(m: int, params: JacobiParams) -> float:
@@ -113,13 +113,13 @@ def delta_m(m: int, params: JacobiParams) -> float:
     if m == 0:
         return 1.0
     log = (
-        gammaln(b + 1)
-        - gammaln(a + 1)
-        - gammaln(a + b + 2)
-        + gammaln(m + a + b + 1)
-        - gammaln(m + b + 1)
-        + gammaln(m + a + 1)
-        - gammaln(m + 1)
+        math.lgamma(b + 1)
+        - math.lgamma(a + 1)
+        - math.lgamma(a + b + 2)
+        + math.lgamma(m + a + b + 1)
+        - math.lgamma(m + b + 1)
+        + math.lgamma(m + a + 1)
+        - math.lgamma(m + 1)
     )
     return float((2 * m + a + b + 1) * np.exp(log))
 
@@ -133,7 +133,7 @@ def radial_density(r, params: JacobiParams):
     """
     a, b = params.a, params.b
     r = np.asarray(r, dtype=float)
-    c = np.exp(gammaln(a + b + 2) - gammaln(a + 1) - gammaln(b + 1))
+    c = np.exp(math.lgamma(a + b + 2) - math.lgamma(a + 1) - math.lgamma(b + 1))
     return c * np.sin(r / 2) ** (2 * a + 1) * np.cos(r / 2) ** (2 * b + 1)
 
 

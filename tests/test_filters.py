@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -152,6 +153,40 @@ class TestProfiles:
             TabulatedProfile(np.array([0.0, 0.5, 0.4, math.pi]), np.ones(4))
         with pytest.raises(ValueError):
             TabulatedProfile(np.array([0.1, 0.5, 1.0, math.pi]), np.ones(4))
+
+
+class TestProfileOracles:
+    """The scipy paths of the Planck and tabulated profiles, against oracles."""
+
+    # both sides of the |z| < 1e-4 series switch, up to z = 4 pi R at R = 9
+    Z = [1e-7, 5e-5, 9.9e-5, 1.01e-4, 1e-3, 0.05, 0.3, 1.0, 2.5, 5.0, 7.0, 10.0,
+         20.0, 50.0, 80.0, 100.0, 110.0, 4 * math.pi * 9.0]
+
+    def test_planck_against_mpmath_bessel(self):
+        lam0, radius = 3.0, 9.0
+        p = PlanckProfile(lam0, radius)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(50):
+            for z_target in self.Z:
+                s = min(mpmath.mpf(z_target) / (4 * mpmath.pi * radius), 1)
+                r = float(2 * mpmath.asin(s))
+                z = 4 * mpmath.pi * radius * mpmath.sin(mpmath.mpf(r) / 2)
+                j1 = mpmath.besselj(1, z)
+                ref = (2 * mpmath.pi * lam0 * j1 / z) ** 2
+                # g moves by 2 kappa times the few-ulp relative error of the float z
+                kappa = abs(z * mpmath.besselj(1, z, derivative=1) / j1 - 1)
+                tol = 1e-13 + 2 * float(kappa) * 4 * eps
+                err = abs(float(p.evaluate(r)) / ref - 1)
+                assert err <= tol, (z_target, float(err), tol)
+
+    def test_tabulated_monotone_samples_give_monotone_interpolant(self):
+        r = np.linspace(0.0, math.pi, 9)
+        v = np.array([1.0, 1.0, 1.0, 0.9, 0.2, 0.1, 0.1, 0.0, 0.0])
+        p = TabulatedProfile(r, v)
+        np.testing.assert_array_equal(p.evaluate(r), v)
+        fine = p.evaluate(np.linspace(0.0, math.pi, 2001))
+        assert np.all(np.diff(fine) <= 0)
+        assert fine.min() >= 0.0 and fine.max() <= 1.0
 
 
 class TestProfileL2Norms:

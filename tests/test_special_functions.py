@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -160,6 +161,72 @@ class TestRadialDensity:
 
             val = adaptive_quadrature(integrand, 0, math.pi, tol=1e-12, base_panels=64)
             assert abs(val) < 1e-10
+
+
+EPS = np.finfo(float).eps
+NON_SPHERE_PAIRS = [(0.5, 0.5), (1, 1), (0.5, -0.5), (3.5, 1.5)]
+
+
+def lgamma_budget(*args: float) -> float:
+    """Relative error allowed for exp of a signed sum of log-gamma terms.
+
+    Each term carries a few ulps of its own magnitude; exp turns that
+    absolute error of the sum into a relative error of the result.
+    """
+    return 4 * EPS * (1 + sum(abs(math.lgamma(t)) for t in args))
+
+
+def mp_log_delta(m: int, a, b):
+    lg = mpmath.loggamma
+    return (
+        lg(b + 1) - lg(a + 1) - lg(a + b + 2)
+        + lg(m + a + b + 1) - lg(m + b + 1) + lg(m + a + 1) - lg(m + 1)
+    )
+
+
+class TestLogGammaOracles:
+    """50-digit mpmath references for the closed forms built on log-gamma."""
+
+    @pytest.mark.parametrize("a,b", NON_SPHERE_PAIRS)
+    def test_jacobi_at_one(self, a, b):
+        params = JacobiParams(a, b)
+        with mpmath.workdps(50):
+            ma = mpmath.mpf(a)
+            for m in range(401):
+                ref = mpmath.gamma(m + ma + 1) / (mpmath.gamma(m + 1) * mpmath.gamma(ma + 1))
+                err = abs(jacobi_at_one(m, params) / ref - 1)
+                assert err <= lgamma_budget(m + a + 1, m + 1, a + 1), (m, float(err))
+
+    @pytest.mark.parametrize("a,b", NON_SPHERE_PAIRS)
+    def test_delta_m(self, a, b):
+        params = JacobiParams(a, b)
+        with mpmath.workdps(50):
+            ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+            for m in range(1, 401):
+                ref = (2 * m + ma + mb + 1) * mpmath.exp(mp_log_delta(m, ma, mb))
+                err = abs(delta_m(m, params) / ref - 1)
+                terms = (b + 1, a + 1, a + b + 2, m + a + b + 1, m + b + 1, m + a + 1, m + 1)
+                assert err <= lgamma_budget(*terms) + 4 * EPS, (m, float(err))
+
+    @pytest.mark.parametrize("a,b", NON_SPHERE_PAIRS)
+    def test_radial_density(self, a, b):
+        params = JacobiParams(a, b)
+        r = np.linspace(0.01, math.pi - 0.01, 64)
+        vals = radial_density(r, params)
+        # the two powers add about one ulp per unit of exponent
+        tol = lgamma_budget(a + b + 2, a + 1, b + 1) + 4 * (2 * a + 2 * b + 2) * EPS
+        with mpmath.workdps(50):
+            ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+            c = mpmath.gamma(ma + mb + 2) / (mpmath.gamma(ma + 1) * mpmath.gamma(mb + 1))
+            for ri, vi in zip(r, vals):
+                half = mpmath.mpf(ri) / 2
+                ref = c * mpmath.sin(half) ** (2 * ma + 1) * mpmath.cos(half) ** (2 * mb + 1)
+                assert abs(vi / ref - 1) <= tol, ri
+
+    def test_sphere_values_are_exact(self):
+        for m in range(401):
+            assert delta_m(m, S2) == 2 * m + 1
+            assert jacobi_at_one(m, S2) == 1.0
 
 
 class TestAdaptiveQuadrature:
