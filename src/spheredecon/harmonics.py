@@ -13,6 +13,12 @@ so points on a few latitude rings, such as area_center nodes, share them;
 scattered points simply form one ring each.  Synthesis is matrix-free: it
 sums the factors against the coefficients per ring and never forms the
 basis matrix; its adjoint, analysis, sums the samples per ring first.
+
+The azimuthal factors cos(k phi), sin(k phi) come from one sin/cos pair per
+point by angle addition (``_trig``), with real elementwise operations only,
+so each point's values are independent of the batch and of the BLAS thread
+count; their error, checked against mpmath for m_max <= 256, stays below
+m_max * eps.
 """
 
 from __future__ import annotations
@@ -120,15 +126,45 @@ def normalized_legendre(m_max: int, theta: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(q.transpose(2, 0, 1))
 
 
+_TRIG_CHUNK = 512  # nodes per scratch block of ``_trig``
+
+
 def _trig(m_max: int, phis) -> np.ndarray:
     """Azimuthal factors: column m_max + k holds cos(k phi) for k >= 0 and
-    sin(|k| phi) for k < 0."""
+    sin(|k| phi) for k < 0.
+
+    cos and sin are taken once per point; the orders k = 2..m_max follow by
+    angle addition, doubling: orders k+1..min(2k, m_max) come from orders
+    1..k and k.  Per chunk of ``_TRIG_CHUNK`` points the orders are built
+    in an order-major scratch block with real elementwise products and sums
+    only, so each row is bitwise independent of the other points and of the
+    BLAS thread count.  Against the exact values at the given phi the error
+    measured about 0.5 m_max eps for m_max <= 256, and the tests hold it
+    below m_max eps.
+    """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    ks = np.arange(1, m_max + 1)
     trig = np.empty((phis.size, 2 * m_max + 1))
-    trig[:, :m_max] = np.sin(phis[:, None] * ks[None, :])[:, ::-1]
     trig[:, m_max] = 1.0
-    trig[:, m_max + 1 :] = np.cos(phis[:, None] * ks[None, :])
+    if m_max == 0:
+        return trig
+    # row j of cos / sin holds order j + 1
+    cos, sin, tmp = np.empty((3, m_max, min(phis.size, _TRIG_CHUNK)))
+    for lo in range(0, phis.size, _TRIG_CHUNK):
+        phi = phis[lo : lo + _TRIG_CHUNK]
+        c, s, t = cos[:, : phi.size], sin[:, : phi.size], tmp[:, : phi.size]
+        np.cos(phi, out=c[0])
+        np.sin(phi, out=s[0])
+        k = 1
+        while k < m_max:
+            n = min(k, m_max - k)
+            new, old = slice(k, k + n), slice(0, n)  # orders k+1..k+n and 1..n
+            np.multiply(c[old], c[k - 1], out=c[new])
+            c[new] -= np.multiply(s[old], s[k - 1], out=t[:n])
+            np.multiply(s[old], c[k - 1], out=s[new])
+            s[new] += np.multiply(c[old], s[k - 1], out=t[:n])
+            k += n
+        trig[lo : lo + phi.size, m_max + 1 :] = c.T
+        trig[lo : lo + phi.size, :m_max] = s[::-1].T
     return trig
 
 

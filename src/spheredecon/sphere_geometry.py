@@ -164,7 +164,8 @@ class EqualAreaPartition:
     ``ell`` holds the wedge counts ell_0 .. ell_{s+1} (ell_0 = ell_{s+1} = 25)
     and ``theta_bounds`` the band boundaries theta_{-1} = 0 .. theta_{s+1} = pi.
     Band k is cut into ell_k congruent wedges (see ``_wedge_bounds``); the
-    bands describe every region, so none is stored.
+    bands describe every region, so neither the regions nor their cap radii
+    are stored.
     """
 
     N: int
@@ -173,8 +174,37 @@ class EqualAreaPartition:
     delta_theta: float
     ell: tuple
     theta_bounds: tuple
-    max_cap_radius: float
-    min_inscribed_radius: float
+
+    def _extreme_boxes(self) -> list:
+        """(theta_lo, theta_hi, phi_lo, phi_hi) of the wedges that attain the
+        band radii.
+
+        The wedges of a band differ only by the rounding of their bounds.
+        The enclosing radius grows with the half-widths |phi - pc| (pc the
+        mid longitude) and the inscribed one with the width, so the wedges
+        with the largest half-widths and the narrowest one attain the band's
+        radii (bitwise, as the per-region oracle in the tests checks).
+        """
+        boxes = []
+        for nw, t_lo, t_hi in zip(self.ell, self.theta_bounds, self.theta_bounds[1:]):
+            if nw:
+                lo, hi = _wedge_bounds(nw)
+                pc = 0.5 * (lo + hi)
+                picks = {np.argmax(pc - lo), np.argmax(hi - pc), np.argmin(hi - lo)}
+                boxes += [(t_lo, t_hi, lo[j].item(), hi[j].item()) for j in picks]
+        return boxes
+
+    @property
+    def max_cap_radius(self) -> float:
+        """Largest radius of a cap about a region's center enclosing it,
+        computed on each access."""
+        return max(_enclosing_cap_radius(*b) for b in self._extreme_boxes())
+
+    @property
+    def min_inscribed_radius(self) -> float:
+        """Smallest radius of a cap about a region's center inside it,
+        computed on each access."""
+        return min(_inscribed_cap_radius(*b) for b in self._extreme_boxes())
 
     @property
     def regions(self) -> tuple:
@@ -264,18 +294,6 @@ def build_partition(N: int) -> EqualAreaPartition:
         math.acos(max(-1.0, min(1.0, c))) for c in cos_bounds[1:-1]
     ] + [math.pi]
 
-    # The wedges of a band differ only by the rounding of their bounds.  The
-    # enclosing radius grows with the half-widths |phi - pc| (pc the mid
-    # longitude) and the inscribed one with the width, so the wedges with the
-    # largest half-widths and the narrowest one attain the band's radii
-    # (bitwise, as the per-region oracle in the tests checks).
-    boxes = []
-    for nw, t_lo, t_hi in zip(ell, theta_bounds, theta_bounds[1:]):
-        if nw:
-            lo, hi = _wedge_bounds(nw)
-            pc = 0.5 * (lo + hi)
-            picks = {np.argmax(pc - lo), np.argmax(hi - pc), np.argmin(hi - lo)}
-            boxes += [(t_lo, t_hi, lo[j].item(), hi[j].item()) for j in picks]
     return EqualAreaPartition(
         N=N,
         theta0=theta0,
@@ -283,8 +301,6 @@ def build_partition(N: int) -> EqualAreaPartition:
         delta_theta=delta_theta,
         ell=tuple(ell),
         theta_bounds=tuple(theta_bounds),
-        max_cap_radius=max(_enclosing_cap_radius(*b) for b in boxes),
-        min_inscribed_radius=min(_inscribed_cap_radius(*b) for b in boxes),
     )
 
 

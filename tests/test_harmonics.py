@@ -11,9 +11,11 @@ from scipy.special import lpmv
 
 from conftest import product_quadrature_grid, random_sphere_points
 from spheredecon.harmonics import (
+    _TRIG_CHUNK,
     CoefficientVector,
     _analysis,
     _rings,
+    _trig,
     basis_matrix,
     block_slice,
     coeffs_from_json,
@@ -132,6 +134,66 @@ class TestNormalizedLegendreOracle:
         q = normalized_legendre(m, np.array([theta]))[0, m]
         for k in (0, 1, m // 2, m - 1, m):
             assert abs(q[k] - _legendre_oracle(m, k, theta)) <= 1e-12 * math.sqrt(2 * m + 1)
+
+
+def _trig_oracle(m: int, phi: float) -> np.ndarray:
+    """cos(k phi), sin(k phi) for k = 1..m in the layout of ``_trig``, from
+    40-digit powers of exp(i phi) at the exact double phi."""
+    out = np.empty(2 * m + 1)
+    out[m] = 1.0
+    with mpmath.workdps(40):
+        z = mpmath.expj(mpmath.mpf(phi))
+        zk = mpmath.mpc(1)
+        for k in range(1, m + 1):
+            zk *= z
+            out[m + k], out[m - k] = float(zk.real), float(zk.imag)
+    return out
+
+
+_TRIG_PHIS = np.concatenate([
+    np.random.default_rng(12).uniform(0.0, 2 * math.pi, 200),
+    [0.0, math.pi / 2, math.pi, np.nextafter(2 * math.pi, 0.0)],
+])
+
+
+class TestTrig:
+    @pytest.mark.parametrize("m", [1, 2, 7, 16, 33, 64, 128, 256])
+    def test_against_mpmath(self, m):
+        trig = _trig(m, _TRIG_PHIS)
+        oracle = np.array([_trig_oracle(m, phi) for phi in _TRIG_PHIS.tolist()])
+        assert np.max(np.abs(trig - oracle)) <= m * np.finfo(float).eps
+
+    def test_rows_match_single_point_calls(self):
+        phis = np.random.default_rng(3).uniform(0.0, 2 * math.pi, 2 * _TRIG_CHUNK + 3)
+        trig = _trig(40, phis)
+        for i in range(phis.size):
+            assert np.array_equal(trig[i], _trig(40, phis[i : i + 1])[0])
+
+    @pytest.mark.parametrize("m, phis, shape", [
+        (0, np.array([0.3, 1.0]), (2, 1)),
+        (5, np.array([]), (0, 11)),
+        (0, np.array([]), (0, 1)),
+        (3, 0.7, (1, 7)),
+    ])
+    def test_shapes(self, m, phis, shape):
+        trig = _trig(m, phis)
+        assert trig.shape == shape
+        assert np.all(trig[:, m] == 1.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 60])
+    def test_one_sin_cos_pair_per_point(self, m, monkeypatch):
+        evaluated = []
+        for name in ("sin", "cos"):
+            ufunc = getattr(np, name)
+
+            def spy(x, *args, _ufunc=ufunc, **kwargs):
+                evaluated.append(np.size(x))
+                return _ufunc(x, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, spy)
+        phis = np.linspace(0.0, 6.0, 2 * _TRIG_CHUNK + 3)
+        _trig(m, phis)
+        assert 0 < sum(evaluated) <= 2 * phis.size
 
 
 def _ring_family():
