@@ -13,8 +13,16 @@ __all__ = ["atomic_write_text", "write_json", "write_csv", "format_float"]
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
-    path = Path(path)
+    """Write via a temp file in the target directory, then rename.
+
+    A symlink is written through: its target is replaced and the link stays.
+    A target that exists and is not a regular file (a directory, device or
+    FIFO) raises OSError and is left as it is.
+    """
+    real = Path(os.path.realpath(path))
+    if real.exists() and not real.is_file():
+        raise OSError(f"{path} exists and is not a regular file")
+    path = real
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:

@@ -4,7 +4,18 @@ Subcommands: partition, nodes, filter, simulate, reconstruct, certify,
 verify-mz, experiment.  Every command is a pure function of its config and
 input files: reruns produce byte-identical output, all randomness is seeded,
 files are written atomically.  Failures exit nonzero with a machine-readable
-JSON error object on stderr.
+JSON error object on stderr: exit 2 with type "config" for a bad flag or
+config, or a filter or coefficient file that cannot be loaded; exit 1 with
+the exception's type for any other failure, a malformed measurement file
+included.
+
+The parser declares each flag's type, default and whether it is required,
+and it is the only way values reach a command.  ``--config FILE`` holds a
+JSON object keyed by flag destination (``m_grid`` for ``--m-grid``).  It
+becomes flag tokens that the command's parser reads in front of the command
+line, so flags win: null leaves a flag unset, true or false sets or leaves
+a switch, a list becomes a comma-separated value, and any other value is
+parsed as the flag's text.
 """
 
 from __future__ import annotations
@@ -56,36 +67,62 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from the --config JSON file (flags win).
-
-    The accepted keys are the flag destinations argparse put on the
-    namespace for the chosen subcommand.
-    """
-    if args.config is None:
-        return
+def _finite(text: str) -> float:
+    """Type of a float flag: a finite number."""
     try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read config {args.config}: {exc}") from exc
-    unknown = set(cfg) - (set(vars(args)) - {"command", "config", "func"})
-    if unknown:
-        raise CliError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in cfg.items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-
-
-def _float(value, name: str) -> float:
-    """A float parameter from a flag or the config; CliError unless finite."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
+        x = float(text)
+    except ValueError:
         x = math.nan
     if not math.isfinite(x):
-        raise CliError(f"--{name.replace('_', '-')} must be a finite number, got {value!r}")
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return x
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return n
+
+
+def _comma_list(item):
+    """Type of a comma-separated flag whose entries have the type ``item``."""
+    def parse(text: str) -> list:
+        try:
+            return [item(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}") from None
+    return parse
+
+
+def _config_tokens(parser: argparse.ArgumentParser, path) -> list:
+    """The JSON object in the config file ``path`` as flag tokens of ``parser``."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise CliError(f"config {path} must hold a JSON object, not {type(cfg).__name__}")
+    flags = {a.dest: a for a in parser._actions
+             if a.option_strings and a.dest not in ("help", "config")}
+    unknown = set(cfg) - set(flags)
+    if unknown:
+        raise CliError(f"unknown config keys: {sorted(unknown)}")
+    tokens = []
+    for key, value in cfg.items():
+        flag = flags[key].option_strings[0]
+        if isinstance(value, bool) and flags[key].nargs == 0:  # a switch
+            tokens += [flag] if value else []
+        elif value is not None:
+            items = value if isinstance(value, list) else [value]
+            if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in items):
+                raise CliError(f"config key {key}: expected a number, a string or a list of them")
+            tokens.append(f"{flag}={','.join(map(str, items))}")
+    return tokens
 
 
 def _require(args, *names):
@@ -94,35 +131,43 @@ def _require(args, *names):
             raise CliError(f"missing required parameter --{name.replace('_', '-')}")
 
 
-def _build_family(n: int, rule: str, seed: Optional[int]) -> MzFamily:
-    if rule == "random_in_region" and seed is None:
+def _build_family(args) -> MzFamily:
+    if args.rule == "random_in_region" and args.node_seed is None:
         raise CliError("--node-seed is required with rule random_in_region")
-    partition = build_partition(n)
-    return pick_nodes(partition, rule=rule, seed=seed)
+    return pick_nodes(build_partition(args.n), rule=args.rule, seed=args.node_seed)
+
+
+def _load(path, what: str, from_json):
+    """``from_json`` of the JSON file ``path``; a CliError naming the file."""
+    try:
+        with open(path) as fh:
+            return from_json(json.load(fh))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"cannot load {what} {path}: {exc}") from exc
 
 
 def _load_filter(path) -> filt_mod.MultiplierFilter:
-    try:
-        with open(path) as fh:
-            return filt_mod.filter_from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise CliError(f"cannot load filter {path}: {exc}") from exc
+    return _load(path, "filter", filt_mod.filter_from_json)
 
 
 def _load_coeffs(path) -> CoefficientVector:
-    try:
-        with open(path) as fh:
-            return coeffs_from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise CliError(f"cannot load coefficients {path}: {exc}") from exc
+    return _load(path, "coefficients", coeffs_from_json)
+
+
+def _gamma(args, filt: filt_mod.MultiplierFilter) -> float:
+    """--gamma, else the exponent of the filter's decay fit."""
+    if args.gamma is not None:
+        return args.gamma
+    if filt.decay_fit is None:
+        raise CliError("--gamma is required (filter carries no decay fit)")
+    return filt.decay_fit.gamma
 
 
 # ---------------------------------------------------------------- commands
 
 
 def _cmd_partition(args) -> int:
-    _require(args, "n", "out_json")
-    partition = build_partition(int(args.n))
+    partition = build_partition(args.n)
     write_partition_json(args.out_json, partition)
     if args.out_csv:
         write_nodes_csv(args.out_csv, pick_nodes(partition))
@@ -130,83 +175,63 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_nodes(args) -> int:
-    _require(args, "n", "out")
-    rule = args.rule or "area_center"
-    fam = _build_family(int(args.n), rule, args.node_seed)
-    write_nodes_csv(args.out, fam)
+    write_nodes_csv(args.out, _build_family(args))
     return 0
 
 
 def _make_filter(args) -> filt_mod.MultiplierFilter:
-    kind = args.kind
-    m_max = int(args.m_max)
-    tol = _float(args.tol, "tol") if args.tol is not None else 1e-10
-    if kind == "identity":
-        filt = filt_mod.identity_multipliers(m_max)
-    elif kind == "cap":
+    if args.kind == "identity":
+        filt = filt_mod.identity_multipliers(args.m_max)
+    elif args.kind == "cap":
         _require(args, "theta0")
         if args.quadrature:
             filt = filt_mod.multipliers_from_profile(
-                filt_mod.CapProfile(_float(args.theta0, "theta0")), m_max=m_max, tol=tol
+                filt_mod.CapProfile(args.theta0), m_max=args.m_max, tol=args.tol
             )
         else:
-            filt = filt_mod.cap_multipliers(_float(args.theta0, "theta0"), m_max)
-    elif kind == "planck":
+            filt = filt_mod.cap_multipliers(args.theta0, args.m_max)
+    elif args.kind == "planck":
         _require(args, "lam0", "radius")
         filt = filt_mod.multipliers_from_profile(
-            filt_mod.PlanckProfile(_float(args.lam0, "lam0"), _float(args.radius, "radius")),
-            m_max=m_max,
-            tol=tol,
+            filt_mod.PlanckProfile(args.lam0, args.radius), m_max=args.m_max, tol=args.tol
         )
-    elif kind == "lunar":
+    else:  # lunar
         _require(args, "radius", "altitude")
         filt = filt_mod.multipliers_from_profile(
-            filt_mod.LunarProfile(_float(args.radius, "radius"), _float(args.altitude, "altitude")),
-            m_max=m_max,
-            tol=tol,
+            filt_mod.LunarProfile(args.radius, args.altitude), m_max=args.m_max, tol=args.tol
         )
-    else:
-        raise CliError(f"unknown filter kind {kind!r}")
     # replace() re-runs the filter's validation on the attached fits
     if args.gamma is not None:
-        gamma = _float(args.gamma, "gamma")
-        fit = filt_mod.DecayFit(filt_mod.fit_decay(filt, gamma), gamma, filt.m_max)
+        fit = filt_mod.DecayFit(filt_mod.fit_decay(filt, args.gamma), args.gamma, filt.m_max)
         filt = dataclasses.replace(filt, decay_fit=fit)
     if args.zeta is not None:
-        zeta = _float(args.zeta, "zeta")
-        fit = filt_mod.LowerFit(filt_mod.fit_lower(filt, zeta), zeta, filt.m_max)
+        fit = filt_mod.LowerFit(filt_mod.fit_lower(filt, args.zeta), args.zeta, filt.m_max)
         filt = dataclasses.replace(filt, lower_fit=fit)
     return filt
 
 
 def _cmd_filter(args) -> int:
-    _require(args, "kind", "m_max", "out")
-    filt = _make_filter(args)
-    write_json(args.out, filt_mod.filter_to_json(filt))
+    write_json(args.out, filt_mod.filter_to_json(_make_filter(args)))
     return 0
 
 
-def _get_truth(args) -> CoefficientVector:
+def _get_truth(args, default_sigma: Optional[float] = None) -> CoefficientVector:
+    """--truth, else a random polynomial from the truth flags."""
     if args.truth is not None:
         return _load_coeffs(args.truth)
-    _require(args, "truth_m_max", "truth_sigma", "truth_seed")
-    return random_poly(
-        int(args.truth_m_max),
-        _float(args.truth_sigma, "truth_sigma"),
-        int(args.truth_seed),
-        unit_norm=bool(args.truth_unit_norm),
-    )
+    if default_sigma is None:
+        _require(args, "truth_sigma")
+    _require(args, "truth_m_max", "truth_seed")
+    sigma = default_sigma if args.truth_sigma is None else args.truth_sigma
+    return random_poly(args.truth_m_max, sigma, args.truth_seed, unit_norm=args.truth_unit_norm)
 
 
 def _cmd_simulate(args) -> int:
-    _require(args, "filter", "n", "beta", "out")
-    beta = _float(args.beta, "beta")
-    if beta > 0 and args.seed is None:
+    if args.beta > 0 and args.seed is None:
         raise CliError("--seed is required when beta > 0")
     filt = _load_filter(args.filter)
     truth = _get_truth(args)
-    fam = _build_family(int(args.n), args.rule or "area_center", args.node_seed)
-    ms = simulate(truth, filt, fam, beta=beta, seed=args.seed)
+    ms = simulate(truth, filt, _build_family(args), beta=args.beta, seed=args.seed)
     write_measurements_csv(args.out, ms, sidecar_path=args.sidecar)
     if args.save_truth:
         write_json(args.save_truth, coeffs_to_json(truth))
@@ -214,91 +239,61 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    _require(args, "filter", "measurements", "m", "out")
     filt = _load_filter(args.filter)
     ms = read_measurements_csv(args.measurements, sidecar_path=args.sidecar)
     fam = MzFamily(nodes=ms.nodes, weights=ms.weights)
-    m = int(args.m)
-    report = lsq_solve(filt, fam, m, ms.y)
-    write_json(args.out, solution_to_json(report, filtered_singular_values(filt, fam, m)))
+    report = lsq_solve(filt, fam, args.m, ms.y)
+    write_json(args.out, solution_to_json(report, filtered_singular_values(filt, fam, args.m)))
     return 0
 
 
 def _cmd_certify(args) -> int:
-    _require(args, "filter", "n", "m", "omega", "beta", "out")
-    m = int(args.m)
-    beta, omega = _float(args.beta, "beta"), _float(args.omega, "omega")
-    zeta = _float(args.zeta, "zeta") if args.zeta is not None else 0.0
-    norm_f_sigma = None
-    if args.norm_f_sigma is not None:
-        norm_f_sigma = _float(args.norm_f_sigma, "norm_f_sigma")
     filt = _load_filter(args.filter)
-    if args.gamma is not None:
-        gamma = _float(args.gamma, "gamma")
-    elif filt.decay_fit is not None:
-        gamma = filt.decay_fit.gamma
-    else:
-        raise CliError("--gamma is required (filter carries no decay fit)")
-    c = filt_mod.fit_decay(filt, gamma)
-    c0 = filt_mod.fit_lower(filt, zeta)
-    fam = _build_family(int(args.n), args.rule or "area_center", args.node_seed)
-    const = cert_mod.mz_constants(fam, m)
+    gamma = _gamma(args, filt)
     truth = _load_coeffs(args.truth) if args.truth else None
-    if norm_f_sigma is not None:
-        norm_kw = {"norm_f_sigma": norm_f_sigma}
-    elif truth is not None:
-        sigma = omega + gamma
-        norm_kw = {"norm_f_sigma": sobolev_norm(apply_multiplier(filt, truth), sigma)}
-    else:
+    solution = _load_coeffs(args.solution) if args.solution else None
+    if args.norm_f_sigma is None and truth is None:
         raise CliError("need --norm-f-sigma or --truth to size the certificate")
-    certificate = cert_mod.bound_apriori(
-        m=m,
-        beta=beta,
-        epsilon=const.epsilon,
-        omega=omega,
-        gamma=gamma,
-        zeta=zeta,
-        c=c,
-        c0=c0,
-        fit_m_max=filt.m_max,
-        **norm_kw,
-    )
+    cert_kw = _certificate_inputs(filt, truth, args.omega, gamma, args.zeta, args.norm_f_sigma)
+    const = cert_mod.mz_constants(_build_family(args), args.m)
+    certificate = cert_mod.bound_apriori(m=args.m, beta=args.beta, epsilon=const.epsilon, **cert_kw)
     verification = None
-    if truth is not None and args.solution is not None:
-        with open(args.solution) as fh:
-            sol = coeffs_from_json(json.load(fh))
-        verification = cert_mod.verify_bound(truth, filt, sol, certificate)
+    if truth is not None and solution is not None:
+        verification = cert_mod.verify_bound(truth, filt, solution, certificate)
     write_json(args.out, cert_mod.certificate_to_json(certificate, verification))
     return 0
 
 
 def _cmd_verify_mz(args) -> int:
-    _require(args, "n", "m")
-    fam = _build_family(int(args.n), args.rule or "area_center", args.node_seed)
-    const = cert_mod.mz_constants(fam, int(args.m))
+    const = cert_mod.mz_constants(_build_family(args), args.m)
     obj = {
-        "N": int(args.n),
-        "m": int(args.m),
+        "N": args.n,
+        "m": args.m,
         "A": const.A,
         "B": const.B,
         "epsilon": const.epsilon,
         "is_mz": const.epsilon < 1.0,
     }
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
-        atomic_write_text(args.out, text + "\n")
+        write_json(args.out, obj)
     else:
-        print(text)
+        print(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 
-def _certificate_inputs(filt, truth, omega: float, gamma: float, zeta: float) -> dict:
-    """The ``bound_apriori`` arguments that are the same for every (m, beta) cell."""
+def _certificate_inputs(filt, truth, omega: float, gamma: float, zeta: float,
+                        norm_f_sigma: Optional[float] = None) -> dict:
+    """The ``bound_apriori`` arguments that are the same for every (m, beta) cell.
+
+    ``norm_f_sigma`` defaults to the Sobolev norm of the filtered truth.
+    """
+    if norm_f_sigma is None:
+        norm_f_sigma = sobolev_norm(apply_multiplier(filt, truth), omega + gamma)
     return {
         "omega": omega,
         "gamma": gamma,
         "zeta": zeta,
-        "norm_f_sigma": sobolev_norm(apply_multiplier(filt, truth), omega + gamma),
+        "norm_f_sigma": norm_f_sigma,
         "c": filt_mod.fit_decay(filt, gamma),
         "c0": filt_mod.fit_lower(filt, zeta),
         "fit_m_max": filt.m_max,
@@ -373,54 +368,31 @@ _EXPERIMENT_COLUMNS = ["m", "N", "beta", "measured_L2", "measured_Hzeta",
                        "bound_Hzeta", "bound_L2"]
 
 
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    return format_float(v) if isinstance(v, float) else str(v)
+
+
 def _cmd_experiment(args) -> int:
-    _require(args, "filter", "omega", "m_grid", "out")
-    omega = _float(args.omega, "omega")
     filt = _load_filter(args.filter)
-    if args.gamma is not None:
-        gamma = _float(args.gamma, "gamma")
-    elif filt.decay_fit is not None:
-        gamma = filt.decay_fit.gamma
-    else:
-        raise CliError("--gamma is required (filter carries no decay fit)")
-    zeta = _float(args.zeta, "zeta") if args.zeta is not None else 0.0
-    if args.truth is None and args.truth_sigma is None:
-        args.truth_sigma = omega + gamma
-    truth = _get_truth(args)
-    if isinstance(args.m_grid, str):
-        m_grid = [int(v) for v in args.m_grid.split(",")]
-    else:
-        m_grid = [int(v) for v in args.m_grid]
-    if args.betas is not None:
-        values = args.betas.split(",") if isinstance(args.betas, str) else args.betas
-        betas = [_float(v, "betas") for v in values]
-    else:
-        betas = [_float(args.beta, "beta") if args.beta is not None else 0.0]
+    gamma = _gamma(args, filt)
+    truth = _get_truth(args, default_sigma=args.omega + gamma)
+    betas = args.betas if args.betas is not None else [args.beta]
     if any(b > 0 for b in betas) and args.seed is None:
         raise CliError("--seed is required when any beta > 0")
-    cert_kw = _certificate_inputs(filt, truth, omega, gamma, zeta)
-    nodes_factor = int(args.nodes_factor) if args.nodes_factor else 4
+    cert_kw = _certificate_inputs(filt, truth, args.omega, gamma, args.zeta)
+    m_grid = args.m_grid
     # Degrees outer, so that one family lives at a time; rows stay beta-major.
     rows = [None] * (len(betas) * len(m_grid))
     for mi, m in enumerate(m_grid):
-        beta_seeds = [(beta, None if beta == 0 else int(args.seed) + 1000 * bi + mi)
+        beta_seeds = [(beta, None if beta == 0 else args.seed + 1000 * bi + mi)
                       for bi, beta in enumerate(betas)]
         rows[mi::len(m_grid)] = _experiment_rows(
-            filt, truth, cert_kw, m, beta_seeds, nodes_factor, args.rule or "area_center",
-            args.node_seed,
+            filt, truth, cert_kw, m, beta_seeds, args.nodes_factor, args.rule, args.node_seed
         )
     lines = [",".join(_EXPERIMENT_COLUMNS)]
-    for row in rows:
-        cells = []
-        for col in _EXPERIMENT_COLUMNS:
-            v = row[col]
-            if v is None:
-                cells.append("")
-            elif isinstance(v, float):
-                cells.append(format_float(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+    lines += [",".join(_csv_cell(row[col]) for col in _EXPERIMENT_COLUMNS) for row in rows]
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     if args.out_json:
         write_json(args.out_json, rows)
@@ -430,134 +402,116 @@ def _cmd_experiment(args) -> int:
 # ---------------------------------------------------------------- wiring
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with defaults for this command")
+@functools.lru_cache(maxsize=None)
+def _parsers() -> tuple:
+    """(parser, the --config pre-parser, the command parsers by name).
 
-
-def build_parser() -> argparse.ArgumentParser:
+    Built once per process: a parser per call would leave its actions and
+    formatters to the cyclic garbage collector.
+    """
     parser = _Parser(prog="spheredecon", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("partition", help="equal-area partition JSON + node CSV")
-    _add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--out-json")
+    def flags(*parents):  # a group of flags shared by commands
+        return _Parser(add_help=False, parents=list(parents))
+
+    config = flags()
+    config.add_argument("--config", help="JSON object of flag values; flags win")
+    rule = flags()
+    rule.add_argument("--rule", choices=["area_center", "random_in_region"],
+                      default="area_center")
+    rule.add_argument("--node-seed", type=int)
+    family = flags(rule)
+    family.add_argument("--n", type=int, required=True)
+    truth = flags()
+    truth.add_argument("--truth", help="truth coefficients JSON")
+    truth.add_argument("--truth-m-max", type=int)
+    truth.add_argument("--truth-sigma", type=_finite)
+    truth.add_argument("--truth-seed", type=int)
+    truth.add_argument("--truth-unit-norm", action="store_true")
+    exponents = flags()
+    exponents.add_argument("--omega", type=_finite, required=True)
+    exponents.add_argument("--gamma", type=_finite, help="default: the filter's decay fit")
+    exponents.add_argument("--zeta", type=_finite, default=0.0)
+
+    def command(name: str, help: str, *parents) -> argparse.ArgumentParser:
+        p = commands.add_parser(name, help=help, parents=[config, *parents])
+        p.set_defaults(func="_cmd_" + name.replace("-", "_"))
+        return p
+
+    p = command("partition", "equal-area partition JSON + node CSV")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--out-json", required=True)
     p.add_argument("--out-csv")
-    p.set_defaults(func="_cmd_partition")
 
-    p = sub.add_parser("nodes", help="sampling nodes CSV")
-    _add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--rule", choices=["area_center", "random_in_region"])
-    p.add_argument("--node-seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func="_cmd_nodes")
+    p = command("nodes", "sampling nodes CSV", family)
+    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("filter", help="multiplier filter JSON")
-    _add_common(p)
-    p.add_argument("--kind", choices=["identity", "cap", "planck", "lunar"])
-    p.add_argument("--m-max", type=int)
-    p.add_argument("--theta0", type=float)
-    p.add_argument("--lam0", type=float)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--altitude", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--gamma", type=float, help="attach a decay fit with this exponent")
-    p.add_argument("--zeta", type=float, help="attach a lower fit with this exponent")
-    p.add_argument("--quadrature", action="store_true", default=None,
+    p = command("filter", "multiplier filter JSON")
+    p.add_argument("--kind", choices=["identity", "cap", "planck", "lunar"], required=True)
+    p.add_argument("--m-max", type=int, required=True)
+    p.add_argument("--theta0", type=_finite)
+    p.add_argument("--lam0", type=_finite)
+    p.add_argument("--radius", type=_finite)
+    p.add_argument("--altitude", type=_finite)
+    p.add_argument("--tol", type=_finite, default=1e-10)
+    p.add_argument("--gamma", type=_finite, help="attach a decay fit with this exponent")
+    p.add_argument("--zeta", type=_finite, help="attach a lower fit with this exponent")
+    p.add_argument("--quadrature", action="store_true",
                    help="force the quadrature route for the cap")
-    p.add_argument("--out")
-    p.set_defaults(func="_cmd_filter")
+    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("simulate", help="noisy measurements CSV (+ JSON sidecar)")
-    _add_common(p)
-    p.add_argument("--filter")
-    p.add_argument("--truth", help="truth coefficients JSON")
-    p.add_argument("--truth-m-max", type=int)
-    p.add_argument("--truth-sigma", type=float)
-    p.add_argument("--truth-seed", type=int)
-    p.add_argument("--truth-unit-norm", action="store_true", default=None)
-    p.add_argument("--n", type=int)
-    p.add_argument("--rule", choices=["area_center", "random_in_region"])
-    p.add_argument("--node-seed", type=int)
-    p.add_argument("--beta", type=float)
+    p = command("simulate", "noisy measurements CSV (+ JSON sidecar)", family, truth)
+    p.add_argument("--filter", required=True)
+    p.add_argument("--beta", type=_finite, required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    p.add_argument("--out", required=True)
     p.add_argument("--sidecar")
     p.add_argument("--save-truth")
-    p.set_defaults(func="_cmd_simulate")
 
-    p = sub.add_parser("reconstruct", help="least-squares solution JSON")
-    _add_common(p)
-    p.add_argument("--filter")
-    p.add_argument("--measurements")
+    p = command("reconstruct", "least-squares solution JSON")
+    p.add_argument("--filter", required=True)
+    p.add_argument("--measurements", required=True)
     p.add_argument("--sidecar")
-    p.add_argument("--m", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func="_cmd_reconstruct")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("certify", help="a-priori error certificate JSON")
-    _add_common(p)
-    p.add_argument("--filter")
-    p.add_argument("--n", type=int)
-    p.add_argument("--rule", choices=["area_center", "random_in_region"])
-    p.add_argument("--node-seed", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--zeta", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--norm-f-sigma", type=float)
+    p = command("certify", "a-priori error certificate JSON", family, exponents)
+    p.add_argument("--filter", required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--beta", type=_finite, required=True)
+    p.add_argument("--norm-f-sigma", type=_finite)
     p.add_argument("--truth")
     p.add_argument("--solution")
-    p.add_argument("--out")
-    p.set_defaults(func="_cmd_certify")
+    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("verify-mz", help="measured frame constants (A, B, epsilon)")
-    _add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--rule", choices=["area_center", "random_in_region"])
-    p.add_argument("--node-seed", type=int)
+    p = command("verify-mz", "measured frame constants (A, B, epsilon)", family)
+    p.add_argument("--m", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(func="_cmd_verify_mz")
 
-    p = sub.add_parser("experiment", help="convergence sweep CSV")
-    _add_common(p)
-    p.add_argument("--filter")
-    p.add_argument("--truth")
-    p.add_argument("--truth-m-max", type=int)
-    p.add_argument("--truth-sigma", type=float)
-    p.add_argument("--truth-seed", type=int)
-    p.add_argument("--truth-unit-norm", action="store_true", default=None)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--zeta", type=float)
-    p.add_argument("--m-grid", help="comma-separated degrees")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--betas", help="comma-separated noise levels")
+    p = command("experiment", "convergence sweep CSV", rule, truth, exponents)
+    p.add_argument("--filter", required=True)
+    p.add_argument("--m-grid", type=_comma_list(int), required=True,
+                   help="comma-separated degrees")
+    noise = p.add_mutually_exclusive_group()
+    noise.add_argument("--beta", type=_finite, default=0.0)
+    noise.add_argument("--betas", type=_comma_list(_finite), help="comma-separated noise levels")
     p.add_argument("--seed", type=int)
-    p.add_argument("--nodes-factor", type=int)
-    p.add_argument("--rule", choices=["area_center", "random_in_region"])
-    p.add_argument("--node-seed", type=int)
-    p.add_argument("--out")
+    p.add_argument("--nodes-factor", type=_positive_int, default=4)
+    p.add_argument("--out", required=True)
     p.add_argument("--out-json")
-    p.set_defaults(func="_cmd_experiment")
 
-    return parser
-
-
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process: a parser per call would leave its
-    actions and formatters to the cyclic garbage collector."""
-    return build_parser()
+    return parser, config, commands.choices
 
 
 def main(argv: Optional[list] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
-        _merge_config(args)
+        parser, config, commands = _parsers()
+        path = config.parse_known_args(argv)[0].config
+        if path is not None and argv[0] in commands:  # config flags go first, so flags win
+            argv = argv[:1] + _config_tokens(commands[argv[0]], path) + argv[1:]
+        args = parser.parse_args(argv)
         return globals()[args.func](args)  # by name, so a patched command is called
     except CliError as exc:
         json.dump({"error": str(exc), "type": "config"}, sys.stderr, sort_keys=True)

@@ -138,7 +138,8 @@ def read_measurements_csv(path, sidecar_path=None) -> MeasurementSet:
     Blank lines are skipped but counted.  A row that is not four finite
     numbers, or whose (theta, phi mod 2*pi) is off the sphere, raises
     ValueError naming the file and the line; a weight column that is not
-    positive or does not sum to 1 raises one naming the file and the column.
+    positive or does not sum to 1 raises one naming the file and the column,
+    and a malformed sidecar one naming the sidecar.
     """
     with open(path) as fh:
         header = fh.readline().strip()
@@ -166,15 +167,33 @@ def read_measurements_csv(path, sidecar_path=None) -> MeasurementSet:
     nodes = np.column_stack([data[:, 0], data[:, 1] % (2 * math.pi)])
     check_nodes(nodes, where=lambda i: f"{path}: line {numbered[i][0]}")
     check_weights(data[:, 2], what=f"{path}: the weight column")
-    meta = {"beta": 0.0, "seed": None, "truth_ref": None}
-    if sidecar_path is not None:
-        with open(sidecar_path) as fh:
-            meta.update(json.load(fh))
+    meta = {} if sidecar_path is None else _read_sidecar(sidecar_path)
     return MeasurementSet(
         nodes=nodes,
         weights=data[:, 2],
         y=data[:, 3],
-        beta=float(meta["beta"]),
-        seed=meta["seed"],
-        truth_ref=meta["truth_ref"],
+        beta=float(meta.get("beta", 0.0)),
+        seed=meta.get("seed"),
+        truth_ref=meta.get("truth_ref"),
     )
+
+
+def _read_sidecar(path) -> dict:
+    """The sidecar object of ``write_measurements_csv``; ValueError naming the
+    file unless beta is a finite number >= 0, seed an int or null and
+    truth_ref an object or null."""
+    try:
+        with open(path) as fh:
+            meta = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: the sidecar must hold a JSON object")
+    beta, seed = meta.get("beta", 0.0), meta.get("seed")
+    if isinstance(beta, bool) or not isinstance(beta, (int, float)) or not 0 <= beta < math.inf:
+        raise ValueError(f"{path}: beta must be a finite number >= 0, got {beta!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, type(None))):
+        raise ValueError(f"{path}: seed must be an integer or null, got {seed!r}")
+    if not isinstance(meta.get("truth_ref"), (dict, type(None))):
+        raise ValueError(f"{path}: truth_ref must be an object or null")
+    return meta

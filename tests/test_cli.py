@@ -6,17 +6,20 @@ import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spheredecon import certify, cli
-from spheredecon.artifacts import write_json
+from spheredecon.artifacts import atomic_write_text, write_json
 from spheredecon.cli import main, run_experiment_row
 from spheredecon.filters import filter_from_json
-from spheredecon.harmonics import random_poly
+from spheredecon.harmonics import coeffs_to_json, random_poly
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "demos" / "configs"
@@ -173,28 +176,85 @@ SUBCOMMAND_FLAGS = {
                    "out_json"],
 }
 
+REQUIRED_FLAGS = {
+    "partition": ["n", "out_json"],
+    "nodes": ["n", "out"],
+    "filter": ["kind", "m_max", "out"],
+    "simulate": ["filter", "n", "beta", "out"],
+    "reconstruct": ["filter", "measurements", "m", "out"],
+    "certify": ["filter", "n", "m", "omega", "beta", "out"],
+    "verify-mz": ["n", "m"],
+    "experiment": ["filter", "omega", "m_grid", "out"],
+}
+
+
+# A well-typed value of every config key, as the parser returns it.
+TYPED_VALUES = {
+    "n": 400, "out_json": "p.json", "out_csv": "p.csv", "rule": "random_in_region",
+    "node_seed": 3, "out": "out.file", "kind": "lunar", "m_max": 12, "theta0": 0.3,
+    "lam0": 3.0, "radius": 1737.1, "altitude": 30.0, "tol": 1e-9, "gamma": 1.5,
+    "zeta": -0.25, "quadrature": True, "filter": "f.json", "truth": "t.json",
+    "truth_m_max": 8, "truth_sigma": 2.0, "truth_seed": 5, "truth_unit_norm": True,
+    "beta": 0.01, "seed": 6, "sidecar": "s.json", "save_truth": "st.json",
+    "measurements": "m.csv", "m": 7, "omega": 2.0, "norm_f_sigma": 1.25,
+    "solution": "sol.json", "m_grid": [3, 5], "betas": [0.01, 0.1], "nodes_factor": 2,
+}
+
+
+def as_flags(cfg: dict) -> list:
+    """The command-line flags that say what the config object ``cfg`` says."""
+    argv = []
+    for key, value in cfg.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif isinstance(value, list):
+            argv += [flag, ",".join(map(str, value))]
+        else:
+            argv += [flag, str(value)]
+    return argv
+
+
+@pytest.fixture
+def dispatched(monkeypatch):
+    """Replace every command with a recorder of the parsed arguments."""
+    seen = []
+    for command in SUBCOMMAND_FLAGS:
+        name = "_cmd_" + command.replace("-", "_")
+        monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
+    return seen
+
 
 class TestConfigKeys:
-    @pytest.fixture
-    def dispatched(self, monkeypatch):
-        """Replace every command with a recorder of the merged arguments."""
-        seen = []
-        for command in SUBCOMMAND_FLAGS:
-            name = "_cmd_" + command.replace("-", "_")
-            monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
-        return seen
-
     @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
     def test_every_flag_is_a_config_key(self, command, tmp_path, capsys, dispatched):
-        cfg = {key: f"value of {key}" for key in SUBCOMMAND_FLAGS[command]}
+        keys = SUBCOMMAND_FLAGS[command]
+        # --beta and --betas are exclusive, so experiment takes two configs
+        configs = [{k: TYPED_VALUES[k] for k in keys if k != drop}
+                   for drop in (["betas", "beta"] if "betas" in keys else [None])]
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        code, _, err = run([command, "--config", path], capsys)
-        assert code == 0, err
-        assert len(dispatched) == 1
-        merged = dispatched[0]
-        assert set(merged) == set(cfg) | {"command", "config", "func"}
-        assert all(merged[key] == value for key, value in cfg.items())
+        for cfg in configs:
+            path.write_text(json.dumps(cfg))
+            code, _, err = run([command, "--config", path], capsys)
+            assert code == 0, err
+            code, _, err = run([command, *as_flags(cfg)], capsys)
+            assert code == 0, err
+            via_config, via_flags = dispatched[-2:]
+            assert set(via_config) == set(keys) | {"command", "config", "func"}
+            assert via_config.pop("config") == str(path) and via_flags.pop("config") is None
+            assert via_config == via_flags
+            assert all(via_config[key] == value for key, value in cfg.items())
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+    def test_null_leaves_every_flag_unset(self, command, tmp_path, capsys, dispatched):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: None for key in SUBCOMMAND_FLAGS[command]}))
+        required = {k: TYPED_VALUES[k] for k in REQUIRED_FLAGS[command]}
+        assert run([command, "--config", path, *as_flags(required)], capsys)[0] == 0
+        assert run([command, *as_flags(required)], capsys)[0] == 0
+        via_config, via_flags = dispatched[-2:]
+        via_config.pop("config"), via_flags.pop("config")
+        assert via_config == via_flags
 
     @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
     def test_extra_key_rejected(self, command, tmp_path, capsys, dispatched):
@@ -206,6 +266,159 @@ class TestConfigKeys:
         assert code == 2
         assert "not_a_flag" in json.loads(err)["error"]
         assert dispatched == []
+
+
+    @pytest.mark.parametrize("command, flag",
+                             [(c, f) for c in sorted(REQUIRED_FLAGS) for f in REQUIRED_FLAGS[c]])
+    def test_required_flag(self, command, flag, capsys, dispatched):
+        given = {k: TYPED_VALUES[k] for k in REQUIRED_FLAGS[command] if k != flag}
+        code, _, err = run([command, *as_flags(given)], capsys)
+        assert code == 2
+        assert "--" + flag.replace("_", "-") in json.loads(err)["error"]
+        assert dispatched == []
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["1", "-3", "0.5", "nan", "", "area_center", "1,2"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=5,
+)
+CONFIG_OBJECTS = st.builds(
+    lambda good, other: {**good, **other},
+    st.lists(st.sampled_from(sorted(TYPED_VALUES)), max_size=4).map(
+        lambda keys: {k: TYPED_VALUES[k] for k in keys}),
+    st.dictionaries(st.sampled_from(sorted(TYPED_VALUES)) | st.text(max_size=6), JSON_VALUES,
+                    max_size=3),
+) | JSON_VALUES
+
+
+class TestConfigContract:
+    """Whatever the config file holds, every command exits 0 or with one JSON error."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=CONFIG_OBJECTS, with_required=st.booleans())
+    def test_exit_0_or_json_config_error(self, cfg, with_required, tmp_path, capsys,
+                                          dispatched):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        for command in SUBCOMMAND_FLAGS:
+            required = {k: TYPED_VALUES[k] for k in REQUIRED_FLAGS[command] if with_required}
+            code, _, err = run([command, "--config", path, *as_flags(required)], capsys)
+            assert code in (0, 2)
+            if code == 0:
+                assert err == ""
+            else:
+                assert err.count("\n") == 1 and err.endswith("\n")
+                error = json.loads(err)
+                assert isinstance(error, dict) and error["type"] == "config" and error["error"]
+
+
+class TestConfigValues:
+    """A config value is read as its flag's text, so a bad one is a config error."""
+
+    NODES = ["nodes", "--n", 100]
+    SIMULATE = ["simulate", "--truth-m-max", 4, "--truth-sigma", 1.0, "--truth-seed", 3,
+                "--n", 100, "--beta", 0.01]
+    FILTER = ["filter", "--kind", "cap", "--theta0", 0.3, "--m-max", 4]
+
+    @pytest.mark.parametrize(
+        "cfg, argv, where",
+        [
+            ('{"n": 400.9}', ["nodes"], "--n"),
+            ('{"n": [1, 2]}', ["nodes"], "--n"),
+            ('{"n": {"value": 100}}', ["nodes"], "config key n"),
+            ('{"n": true}', ["nodes"], "config key n"),
+            ('{"rule": "bogus"}', NODES, "--rule"),
+            ("5", NODES, "JSON object"),
+            ("null", NODES, "JSON object"),
+            ("[1, 2]", NODES, "JSON object"),
+            ('{"n": 100', NODES, "cannot read config"),
+            ('{"seed": 1.5}', SIMULATE, "--seed"),
+            ('{"truth_unit_norm": "false"}', SIMULATE + ["--seed", 2], "--truth-unit-norm"),
+            ('{"quadrature": "no"}', FILTER, "--quadrature"),
+        ],
+        ids=["n_float", "n_list", "n_object", "n_bool", "rule_bogus", "top_int", "top_null",
+             "top_list", "truncated", "seed_float", "switch_string", "switch_no"],
+    )
+    def test_bad_value_is_a_config_error(self, cfg, argv, where, tmp_path, capsys):
+        filt = tmp_path / "id.json"
+        assert run(["filter", "--kind", "identity", "--m-max", 4, "--out", filt], capsys)[0] == 0
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg)
+        out = tmp_path / "out.file"
+        argv = argv + ["--config", path, "--out", out]
+        if argv[0] == "simulate":
+            argv += ["--filter", filt]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        error = json.loads(err)
+        assert error["type"] == "config" and where in error["error"]
+        assert not out.exists()
+
+    def test_negative_value_stays_a_value(self, tmp_path, capsys):
+        filt = tmp_path / "f.json"
+        run(["filter", "--kind", "identity", "--m-max", 4, "--out", filt], capsys)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"beta": -0.5}))
+        code, _, err = run(
+            ["simulate", "--config", path, "--filter", filt, "--truth-m-max", 4,
+             "--truth-sigma", 1.0, "--truth-seed", 3, "--n", 100, "--out", tmp_path / "m.csv"],
+            capsys,
+        )
+        assert code == 1 and "beta must be >= 0" in json.loads(err)["error"]
+
+
+class TestExperimentFlags:
+    def argv(self, tmp_path, capsys):
+        filt = tmp_path / "id.json"
+        run(["filter", "--kind", "identity", "--m-max", 4, "--out", filt], capsys)
+        return ["experiment", "--filter", filt, "--omega", 2.0, "--gamma", 0.0, "--m-grid", 2,
+                "--truth-m-max", 4, "--truth-seed", 1, "--seed", 3,
+                "--out", tmp_path / "curve.csv"]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_beta_and_betas_exclusive(self, source, tmp_path, capsys):
+        argv = self.argv(tmp_path, capsys) + ["--betas", "0.01,0.1"]
+        if source == "flag":
+            argv += ["--beta", 0.01]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"beta": 0.01}))
+            argv += ["--config", tmp_path / "cfg.json"]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        error = json.loads(err)
+        assert error["type"] == "config" and "not allowed with" in error["error"]
+        assert not (tmp_path / "curve.csv").exists()
+
+    @pytest.mark.parametrize("value", [0, -1, 1.5])
+    def test_nodes_factor_positive(self, value, tmp_path, capsys):
+        code, _, err = run(self.argv(tmp_path, capsys) + ["--nodes-factor", value], capsys)
+        assert code == 2
+        error = json.loads(err)
+        assert "--nodes-factor" in error["error"] and "positive integer" in error["error"]
+        assert not (tmp_path / "curve.csv").exists()
+
+
+class TestCertifySolution:
+    @pytest.mark.parametrize("body", ["{}", "[1]", "not json"], ids=["empty", "list", "not_json"])
+    def test_bad_solution_is_a_config_error(self, body, tmp_path, capsys):
+        filt, truth, sol = tmp_path / "f.json", tmp_path / "truth.json", tmp_path / "sol.json"
+        run(["filter", "--kind", "identity", "--m-max", 4, "--out", filt], capsys)
+        write_json(truth, coeffs_to_json(random_poly(4, 2.0, 1)))
+        sol.write_text(body)
+        cert = tmp_path / "cert.json"
+        code, _, err = run(
+            ["certify", "--filter", filt, "--n", 100, "--m", 2, "--omega", 2.0, "--gamma", 0.0,
+             "--beta", 0.01, "--truth", truth, "--solution", sol, "--out", cert],
+            capsys,
+        )
+        assert code == 2
+        error = json.loads(err)
+        assert error["type"] == "config" and str(sol) in error["error"]
+        assert not cert.exists()
+
 
 
 class TestParserReuse:
@@ -262,6 +475,98 @@ class TestMalformedMeasurements:
         assert error["type"] == "ValueError"
         assert str(meas) in error["error"] and where in error["error"]
         assert not sol.exists()
+
+
+class TestMalformedSidecar:
+    MEASUREMENTS = "theta,phi,weight,y\n0.5,1.0,0.5,1.0\n1.0,2.0,0.5,1.0\n"
+
+    def reconstruct(self, sidecar_body, tmp_path, capsys):
+        filt = tmp_path / "f.json"
+        run(["filter", "--kind", "identity", "--m-max", 2, "--out", filt], capsys)
+        meas, side = tmp_path / "meas.csv", tmp_path / "meas.json"
+        meas.write_text(self.MEASUREMENTS)
+        side.write_text(sidecar_body)
+        code, _, err = run(
+            ["reconstruct", "--filter", filt, "--measurements", meas, "--sidecar", side,
+             "--m", 0, "--out", tmp_path / "sol.json"],
+            capsys,
+        )
+        return code, err, side
+
+    @pytest.mark.parametrize(
+        "body, where",
+        [
+            ("[1]", "JSON object"),
+            ("not json", "not JSON"),
+            ('{"beta": null}', "beta"),
+            ('{"beta": "0.1"}', "beta"),
+            ('{"beta": true}', "beta"),
+            ('{"beta": -0.5}', "beta"),
+            ('{"beta": NaN}', "beta"),
+            ('{"beta": Infinity}', "beta"),
+            ('{"seed": 1.5}', "seed"),
+            ('{"seed": "3"}', "seed"),
+            ('{"truth_ref": 5}', "truth_ref"),
+        ],
+        ids=["list", "not_json", "beta_null", "beta_string", "beta_bool", "beta_negative",
+             "beta_nan", "beta_inf", "seed_float", "seed_string", "truth_ref_int"],
+    )
+    def test_reconstruct_reports_json_error(self, body, where, tmp_path, capsys):
+        code, err, side = self.reconstruct(body, tmp_path, capsys)
+        assert code == 1
+        error = json.loads(err)
+        assert error["type"] == "ValueError"
+        assert str(side) in error["error"] and where in error["error"]
+        assert not (tmp_path / "sol.json").exists()
+
+    def test_valid_sidecar(self, tmp_path, capsys):
+        body = json.dumps({"beta": 0, "seed": 4, "truth_ref": {"truth_m_max": 2}})
+        code, err, _ = self.reconstruct(body, tmp_path, capsys)
+        assert code == 0, err
+
+
+class TestAtomicWrite:
+    def test_refuses_fifo(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        with pytest.raises(OSError, match="not a regular file"):
+            atomic_write_text(fifo, "{}\n")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]
+
+    def test_refuses_symlink_to_fifo(self, tmp_path):
+        fifo, link = tmp_path / "pipe", tmp_path / "link"
+        os.mkfifo(fifo)
+        link.symlink_to(fifo)
+        with pytest.raises(OSError, match="not a regular file"):
+            atomic_write_text(link, "{}\n")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and link.is_symlink()
+        assert sorted(os.listdir(tmp_path)) == ["link", "pipe"]
+
+    def test_refuses_directory(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        with pytest.raises(OSError, match="not a regular file"):
+            atomic_write_text(tmp_path / "d", "{}\n")
+        assert os.listdir(tmp_path) == ["d"]
+
+    def test_writes_through_symlink(self, tmp_path):
+        target, link = tmp_path / "real.json", tmp_path / "link.json"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        atomic_write_text(link, "new\n")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == "new\n"
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "real.json"]
+
+    def test_cli_reports_fifo(self, tmp_path, capsys):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        code, _, err = run(["verify-mz", "--n", 50, "--m", 1, "--out", fifo], capsys)
+        assert code == 1
+        error = json.loads(err)
+        assert error["type"] == "OSError" and str(fifo) in error["error"]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
 
 
 class TestArtifactBytes:
