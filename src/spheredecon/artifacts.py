@@ -41,10 +41,28 @@ def write_json(path, obj) -> None:
 
 
 def write_csv(path, header: str, *columns) -> None:
-    """CSV of equal-length float columns, 17 significant digits per value."""
-    rows = np.column_stack(columns)
-    row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    atomic_write_text(path, header + "\n" + (row * rows.shape[0]) % tuple(rows.ravel().tolist()))
+    """CSV of equal-length float columns, 17 significant digits per value.
+
+    The text is that of "%.17g" applied to every value, row by row.  A column
+    that repeats values has each distinct bit pattern formatted once (so -0.0
+    stays apart from 0.0) and its strings gathered by row; the rows are then
+    built by one ``%`` call that takes those strings as %s fields.
+    """
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    n = columns[0].size
+    cells = np.empty((n, len(columns)), dtype=object)
+    spec = []
+    for j, col in enumerate(columns):
+        _, first, inverse = np.unique(col.view(np.uint64), return_index=True, return_inverse=True)
+        if first.size < n:
+            distinct = (",".join(["%.17g"] * first.size) % tuple(col[first].tolist())).split(",")
+            cells[:, j] = np.array(distinct, dtype=object)[inverse]
+            spec.append("%s")
+        else:
+            cells[:, j] = col
+            spec.append("%.17g")
+    row = ",".join(spec) + "\n"
+    atomic_write_text(path, header + "\n" + (row * n) % tuple(cells.ravel().tolist()))
 
 
 def format_float(x: float) -> str:

@@ -103,7 +103,7 @@ def _config_tokens(parser: argparse.ArgumentParser, path) -> list:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise CliError(f"config {path} must hold a JSON object, not {type(cfg).__name__}")
@@ -132,8 +132,6 @@ def _require(args, *names):
 
 
 def _build_family(args) -> MzFamily:
-    if args.rule == "random_in_region" and args.node_seed is None:
-        raise CliError("--node-seed is required with rule random_in_region")
     return pick_nodes(build_partition(args.n), rule=args.rule, seed=args.node_seed)
 
 
@@ -142,7 +140,7 @@ def _load(path, what: str, from_json):
     try:
         with open(path) as fh:
             return from_json(json.load(fh))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot load {what} {path}: {exc}") from exc
 
 
@@ -512,6 +510,9 @@ def main(argv: Optional[list] = None) -> int:
         if path is not None and argv[0] in commands:  # config flags go first, so flags win
             argv = argv[:1] + _config_tokens(commands[argv[0]], path) + argv[1:]
         args = parser.parse_args(argv)
+        # checked before any command does work
+        if getattr(args, "rule", None) == "random_in_region" and args.node_seed is None:
+            raise CliError("--node-seed is required with rule random_in_region")
         return globals()[args.func](args)  # by name, so a patched command is called
     except CliError as exc:
         json.dump({"error": str(exc), "type": "config"}, sys.stderr, sort_keys=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -133,19 +134,58 @@ def write_measurements_csv(path, ms: MeasurementSet, sidecar_path=None) -> None:
 
 
 def read_measurements_csv(path, sidecar_path=None) -> MeasurementSet:
-    """Measurements from a CSV of ``write_measurements_csv``, parsed in one call.
+    """Measurements from a CSV of ``write_measurements_csv``.
 
-    Blank lines are skipped but counted.  A row that is not four finite
-    numbers, or whose (theta, phi mod 2*pi) is off the sphere, raises
-    ValueError naming the file and the line; a weight column that is not
-    positive or does not sum to 1 raises one naming the file and the column,
-    and a malformed sidecar one naming the sidecar.
+    The rows are parsed by one C call on the open file.  Blank lines are
+    skipped but counted.  A row that is not four finite numbers, or whose
+    (theta, phi mod 2*pi) is off the sphere, raises ValueError naming the
+    file and the line; a weight column that is not positive or does not sum
+    to 1 raises one naming the file and the column, and a malformed sidecar
+    one naming the sidecar.  Line numbers are counted only for such a
+    message, and the file is scanned line by line only when the C call
+    fails or finds no rows, which also covers whitespace-only lines.
     """
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "theta,phi,weight,y":
             raise ValueError(f"unexpected measurement CSV header: {header!r}")
-        numbered = [(lineno, line) for lineno, line in enumerate(fh, start=2) if line.strip()]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: the scan says so
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = None
+    if data is None or data.shape[0] == 0 or data.shape[1] != 4:
+        data = _scan_rows(path)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: line {_row_lines(path)[bad[0]][0]} holds a non-finite value")
+    nodes = np.column_stack([data[:, 0], data[:, 1] % (2 * math.pi)])
+    check_nodes(nodes, where=lambda i: f"{path}: line {_row_lines(path)[i][0]}")
+    check_weights(data[:, 2], what=f"{path}: the weight column")
+    meta = {} if sidecar_path is None else _read_sidecar(sidecar_path)
+    return MeasurementSet(
+        nodes=nodes,
+        weights=data[:, 2],
+        y=data[:, 3],
+        beta=float(meta.get("beta", 0.0)),
+        seed=meta.get("seed"),
+        truth_ref=meta.get("truth_ref"),
+    )
+
+
+def _row_lines(path) -> list:
+    """(line number, text) of every line after the header that is not blank."""
+    with open(path) as fh:
+        fh.readline()
+        return [(lineno, line) for lineno, line in enumerate(fh, start=2) if line.strip()]
+
+
+def _scan_rows(path) -> np.ndarray:
+    """The rows of a measurement CSV parsed around its blank lines; ValueError
+    naming the first line that is not four numbers, or the file if it holds
+    no rows."""
+    numbered = _row_lines(path)
     if not numbered:
         raise ValueError(f"{path}: no measurement rows")
     try:
@@ -161,21 +201,7 @@ def read_measurements_csv(path, sidecar_path=None) -> MeasurementSet:
                 np.loadtxt([line], delimiter=",", comments=None)
             except ValueError:
                 raise ValueError(f"{path}: line {lineno} holds a field that is not a number") from None
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{path}: line {numbered[bad[0]][0]} holds a non-finite value")
-    nodes = np.column_stack([data[:, 0], data[:, 1] % (2 * math.pi)])
-    check_nodes(nodes, where=lambda i: f"{path}: line {numbered[i][0]}")
-    check_weights(data[:, 2], what=f"{path}: the weight column")
-    meta = {} if sidecar_path is None else _read_sidecar(sidecar_path)
-    return MeasurementSet(
-        nodes=nodes,
-        weights=data[:, 2],
-        y=data[:, 3],
-        beta=float(meta.get("beta", 0.0)),
-        seed=meta.get("seed"),
-        truth_ref=meta.get("truth_ref"),
-    )
+    return data
 
 
 def _read_sidecar(path) -> dict:
@@ -185,7 +211,7 @@ def _read_sidecar(path) -> dict:
     try:
         with open(path) as fh:
             meta = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: not JSON: {exc}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: the sidecar must hold a JSON object")

@@ -138,6 +138,20 @@ class TestSeedRequirements:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "theta,phi,weight" and len(lines) == 101
 
+    def test_experiment_random_nodes_need_seed_before_any_work(self, tmp_path, capsys):
+        # the filter file does not exist: the seed check comes before its load
+        out = tmp_path / "curve.csv"
+        code, _, err = run(
+            ["experiment", "--filter", tmp_path / "missing.json", "--m-grid", "2",
+             "--omega", 2.0, "--gamma", 0.0, "--truth-m-max", 2, "--truth-seed", 1,
+             "--rule", "random_in_region", "--out", out],
+            capsys,
+        )
+        assert code == 2
+        error = json.loads(err)
+        assert error["type"] == "config" and "--node-seed" in error["error"]
+        assert not out.exists()
+
 
 class TestConfigHandling:
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
@@ -401,6 +415,42 @@ class TestExperimentFlags:
         assert not (tmp_path / "curve.csv").exists()
 
 
+class TestDeeplyNestedJson:
+    """A JSON file nested deeper than the recursion limit is reported like
+    any other malformed file: a config error naming it."""
+
+    DEEP = "[" * 100000
+
+    def test_config(self, tmp_path, capsys):
+        cfg, out = tmp_path / "deep.json", tmp_path / "n.csv"
+        cfg.write_text(self.DEEP)
+        code, _, err = run(["nodes", "--config", cfg, "--n", 100, "--out", out], capsys)
+        assert code == 2
+        error = json.loads(err)
+        assert error["type"] == "config" and str(cfg) in error["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("what", ["filter", "truth", "solution"])
+    def test_loaded_file(self, what, tmp_path, capsys):
+        filt, deep, out = tmp_path / "f.json", tmp_path / "deep.json", tmp_path / "out"
+        run(["filter", "--kind", "identity", "--m-max", 4, "--out", filt], capsys)
+        deep.write_text(self.DEEP)
+        argv = {
+            "filter": ["reconstruct", "--filter", deep, "--measurements", tmp_path / "m.csv",
+                       "--m", 1, "--out", out],
+            "truth": ["simulate", "--filter", filt, "--truth", deep, "--n", 100, "--beta", 0.0,
+                      "--out", out],
+            "solution": ["certify", "--filter", filt, "--solution", deep, "--n", 100, "--m", 2,
+                         "--omega", 2.0, "--gamma", 0.0, "--beta", 0.01, "--norm-f-sigma", 1.0,
+                         "--out", out],
+        }[what]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        error = json.loads(err)
+        assert error["type"] == "config" and str(deep) in error["error"]
+        assert not out.exists()
+
+
 class TestCertifySolution:
     @pytest.mark.parametrize("body", ["{}", "[1]", "not json"], ids=["empty", "list", "not_json"])
     def test_bad_solution_is_a_config_error(self, body, tmp_path, capsys):
@@ -455,9 +505,14 @@ class TestMalformedMeasurements:
             ("theta,phi,weight,y\n0.5,1.0,0.5,1.0\n\n  \n-0.5,1.0,0.5,1.0\n", "line 5"),
             ("theta,phi,weight,y\n0.5,1.0,0.4,1.0\n1.0,2.0,0.4,1.0\n",
              "the weight column must sum to 1, got 0.8"),
+            ("theta,phi,weight,y\n0.5,1.0,#1.0,1.0\n", "line 2"),
+            ("theta,phi,weight,y\n\n\n", "no measurement rows"),
+            ("theta,phi,weight,y\n0.5,1.0,0.5,1.0\n\n1.0,2.0,0.5,nan\n", "line 4"),
+            ("theta,phi,weight,y\r\n0.5,1.0,0.5,1.0\r\n\r\n-0.5,1.0,0.5,1.0\r\n", "line 4"),
         ],
         ids=["header_only", "short_row", "nan_y", "inf_weight", "theta_4", "abc",
-             "five_fields", "bad_after_blank", "weights_sum"],
+             "five_fields", "bad_after_blank", "weights_sum", "hash_in_field",
+             "header_then_blank_lines", "nan_after_empty_line", "crlf_theta_after_empty_line"],
     )
     def test_reconstruct_reports_json_error(self, body, where, tmp_path, capsys):
         filt = tmp_path / "f.json"
@@ -507,9 +562,11 @@ class TestMalformedSidecar:
             ('{"seed": 1.5}', "seed"),
             ('{"seed": "3"}', "seed"),
             ('{"truth_ref": 5}', "truth_ref"),
+            ("[" * 100000, "not JSON"),
         ],
         ids=["list", "not_json", "beta_null", "beta_string", "beta_bool", "beta_negative",
-             "beta_nan", "beta_inf", "seed_float", "seed_string", "truth_ref_int"],
+             "beta_nan", "beta_inf", "seed_float", "seed_string", "truth_ref_int",
+             "nested_deeper_than_recursion_limit"],
     )
     def test_reconstruct_reports_json_error(self, body, where, tmp_path, capsys):
         code, err, side = self.reconstruct(body, tmp_path, capsys)

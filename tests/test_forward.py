@@ -1,10 +1,15 @@
 """Multiplier application, sampling, noise injection, measurement export."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from spheredecon import forward
+from spheredecon.artifacts import write_csv
 from spheredecon.filters import cap_multipliers, fit_decay, identity_multipliers, MultiplierFilter
 from spheredecon.forward import (
     MeasurementSet,
@@ -168,6 +173,44 @@ class TestMeasurementIO:
             a[0] == b[0] and a[1] == b[1] for a, b in zip(back.nodes, ms.nodes)
         )
 
+    @pytest.mark.parametrize("layout", ["blank_lines", "whitespace_lines", "crlf",
+                                        "no_final_newline"])
+    def test_layouts_parse_to_the_same_bits(self, layout, tmp_path):
+        fam = pick_nodes(build_partition(60), rule="random_in_region", seed=3)
+        ms = simulate(random_poly(4, sigma=1.0, seed=14), identity_multipliers(4), fam,
+                      beta=1e-2, seed=15)
+        plain = tmp_path / "plain.csv"
+        write_measurements_csv(plain, ms)
+        header, *rows = plain.read_text().splitlines()
+        text = {
+            "blank_lines": "\n".join([header, "", rows[0], "", "", *rows[1:], ""]) + "\n",
+            "whitespace_lines": "\n".join([header, rows[0], "  ", *rows[1:3], "\t", *rows[3:]])
+                                + "\n \n",
+            "crlf": "\r\n".join([header, *rows]) + "\r\n",
+            "no_final_newline": "\n".join([header, *rows]),
+        }[layout]
+        odd = tmp_path / "odd.csv"
+        odd.write_bytes(text.encode())
+        got = read_measurements_csv(odd)
+        for a, b in [(got.nodes, ms.nodes), (got.weights, ms.weights), (got.y, ms.y)]:
+            assert a.tobytes() == b.tobytes()
+
+    def test_lines_are_numbered_only_for_a_message(self, family, tmp_path, monkeypatch):
+        ms = simulate(random_poly(3, sigma=1.0, seed=16), identity_multipliers(3), family)
+        csv = tmp_path / "meas.csv"
+        write_measurements_csv(csv, ms)
+        calls = []
+        row_lines = forward._row_lines
+        monkeypatch.setattr(forward, "_row_lines", lambda path: calls.append(path) or row_lines(path))
+        read_measurements_csv(csv)
+        assert calls == []
+        header, *rows = csv.read_text().splitlines()
+        rows[-1] = rows[-1].rsplit(",", 1)[0] + ",nan"
+        csv.write_text("\n\n".join([header, *rows[:3]]) + "\n\n" + "\n".join(rows[3:]) + "\n")
+        with pytest.raises(ValueError, match="line 125 holds a non-finite value"):
+            read_measurements_csv(csv)
+        assert calls == [csv]
+
     def test_header_validation(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n")
@@ -181,6 +224,43 @@ class TestMeasurementIO:
                 weights=np.array([0.5, 0.5]),
                 y=np.array([1.0, 2.0]),
             )
+
+
+def reference_csv(header: str, *columns) -> str:
+    """The text of "%.17g" applied to every value, row by row."""
+    rows = np.column_stack(columns)
+    row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return header + "\n" + (row * rows.shape[0]) % tuple(rows.ravel().tolist())
+
+
+NAN_PAYLOAD = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0])
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, sys.float_info.min, sys.float_info.max,
+           -sys.float_info.max, math.inf, -math.inf, math.nan, -math.nan, NAN_PAYLOAD]
+
+
+@st.composite
+def csv_columns(draw):
+    """1-4 equal-length columns, each drawn from a pool of at most n + 1
+    values, so that most columns repeat values and some do not."""
+    n = draw(st.integers(0, 30))
+    values = st.one_of(st.sampled_from(SPECIAL), st.floats())
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        pool = draw(st.lists(values, min_size=1, max_size=n + 1))
+        columns.append(np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))))
+    return columns
+
+
+class TestCsvBytes:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(columns=csv_columns())
+    @example(columns=[np.array([0.0, -0.0, 0.0, -0.0]),
+                      np.array([math.nan, -math.nan, NAN_PAYLOAD, math.nan])])
+    def test_bytes_of_per_value_formatting(self, columns, tmp_path):
+        path = tmp_path / "x.csv"
+        write_csv(path, "a", *columns)
+        assert path.read_bytes() == reference_csv("a", *columns).encode()
 
 
 class TestNoPerNodeObjects:
