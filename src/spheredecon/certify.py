@@ -28,7 +28,7 @@ compares it against measured errors on synthetic runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -342,27 +342,7 @@ def verify_bound(
 def certificate_to_json(
     cert: Certificate, verification: Optional[VerificationReport] = None
 ) -> dict:
-    obj = {
-        "omega": cert.omega,
-        "gamma": cert.gamma,
-        "sigma": cert.sigma,
-        "zeta": cert.zeta,
-        "m": cert.m,
-        "beta": cert.beta,
-        "epsilon": cert.epsilon,
-        "kappa": cert.kappa,
-        "norm_f_sigma": cert.norm_f_sigma,
-        "norm_route": cert.norm_route,
-        "c": cert.c,
-        "c0": cert.c0,
-        "fit_m_max": cert.fit_m_max,
-        "range_limited": cert.range_limited,
-        "term_approx": cert.term_approx,
-        "term_noise": cert.term_noise,
-        "bound_Hzeta": cert.bound_Hzeta,
-        "bound_L2": cert.bound_L2,
-        "verification": None,
-    }
+    obj = {**asdict(cert), "verification": None}
     if verification is not None:
         obj["verification"] = {
             "measured_Hzeta": verification.measured_Hzeta,

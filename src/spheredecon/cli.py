@@ -324,15 +324,10 @@ def _experiment_rows(filt, truth, cert_kw: dict, m: int, cells: list,
             "m": m,
             "N": partition.N,
             "beta": beta,
-            "measured_L2": verification.measured_L2,
-            "measured_Hzeta": verification.measured_Hzeta,
-            "bound_Hzeta": certificate.bound_Hzeta,
-            "bound_L2": certificate.bound_L2,
+            **dataclasses.asdict(verification),
+            "passed": verification.passed,
             "epsilon": const.epsilon,
             "residual": report.residual,
-            "pass_Hzeta": verification.pass_Hzeta,
-            "pass_L2": verification.pass_L2,
-            "passed": verification.passed,
             "search": [[size, eps] for size, eps in search],
         })
     return rows

@@ -20,7 +20,7 @@ Importing this module loads numpy only.  scipy is imported on first use by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -409,26 +409,7 @@ def smoothness_bound(profile: RadialProfile, K: int, m: int) -> float:
 
 
 def filter_to_json(filt: MultiplierFilter) -> dict:
-    obj = {
-        "m_max": filt.m_max,
-        "b": [float(v) for v in filt.b],
-        "provenance": filt.provenance,
-        "decay_fit": None,
-        "lower_fit": None,
-    }
-    if filt.decay_fit is not None:
-        obj["decay_fit"] = {
-            "c": filt.decay_fit.c,
-            "gamma": filt.decay_fit.gamma,
-            "m_max": filt.decay_fit.m_max,
-        }
-    if filt.lower_fit is not None:
-        obj["lower_fit"] = {
-            "c0": filt.lower_fit.c0,
-            "zeta": filt.lower_fit.zeta,
-            "m_max": filt.lower_fit.m_max,
-        }
-    return obj
+    return {**asdict(filt), "b": filt.b.tolist(), "m_max": filt.m_max}
 
 
 def filter_from_json(obj: dict) -> MultiplierFilter:

@@ -138,17 +138,17 @@ def read_measurements_csv(path, sidecar_path=None) -> MeasurementSet:
 
     The rows are parsed by one C call on the open file.  Blank lines are
     skipped but counted.  A row that is not four finite numbers, or whose
-    (theta, phi mod 2*pi) is off the sphere, raises ValueError naming the
-    file and the line; a weight column that is not positive or does not sum
-    to 1 raises one naming the file and the column, and a malformed sidecar
-    one naming the sidecar.  Line numbers are counted only for such a
+    (theta, phi mod 2*pi) is off the sphere, or a line that is not UTF-8
+    text, raises ValueError naming the file and the line; a weight column
+    that is not positive or does not sum to 1 raises one naming the file and
+    the column, and a malformed sidecar one naming the sidecar.  Line numbers are counted only for such a
     message, and the file is scanned line by line only when the C call
     fails or finds no rows, which also covers whitespace-only lines.
     """
-    with open(path) as fh:
-        header = fh.readline().strip()
+    with _open_text(path) as fh:
+        header = _utf8_line(path, 1, fh.readline()).strip()
         if header != "theta,phi,weight,y":
-            raise ValueError(f"unexpected measurement CSV header: {header!r}")
+            raise ValueError(f"{path}: unexpected measurement CSV header: {header!r}")
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no rows: the scan says so
@@ -174,9 +174,24 @@ def read_measurements_csv(path, sidecar_path=None) -> MeasurementSet:
     )
 
 
+def _open_text(path):
+    """The file as UTF-8 text; bytes that are not UTF-8 come through as lone
+    surrogates, which no number parses, and ``_utf8_line`` names their line."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def _utf8_line(path, lineno: int, line: str) -> str:
+    """line, or ValueError naming the file and the line if it is not UTF-8."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{path}: line {lineno} is not UTF-8 text") from None
+    return line
+
+
 def _row_lines(path) -> list:
     """(line number, text) of every line after the header that is not blank."""
-    with open(path) as fh:
+    with _open_text(path) as fh:
         fh.readline()
         return [(lineno, line) for lineno, line in enumerate(fh, start=2) if line.strip()]
 
@@ -194,7 +209,7 @@ def _scan_rows(path) -> np.ndarray:
         data = None
     if data is None or data.shape[1] != 4:  # find the line at fault
         for lineno, line in numbered:
-            fields = line.split(",")
+            fields = _utf8_line(path, lineno, line).split(",")
             if len(fields) != 4:
                 raise ValueError(f"{path}: line {lineno} has {len(fields)} fields, expected 4")
             try:
@@ -209,9 +224,9 @@ def _read_sidecar(path) -> dict:
     file unless beta is a finite number >= 0, seed an int or null and
     truth_ref an object or null."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             meta = json.load(fh)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: not JSON: {exc}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: the sidecar must hold a JSON object")

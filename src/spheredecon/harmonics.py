@@ -23,7 +23,6 @@ m_max * eps.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -48,8 +47,6 @@ __all__ = [
     "random_poly",
     "coeffs_to_json",
     "coeffs_from_json",
-    "write_coeffs_json",
-    "read_coeffs_json",
 ]
 
 _S2 = JacobiParams.sphere(2)
@@ -321,14 +318,3 @@ def coeffs_to_json(c: CoefficientVector) -> dict:
 
 def coeffs_from_json(obj: dict) -> CoefficientVector:
     return CoefficientVector(int(obj["m_max"]), np.asarray(obj["coeffs"], dtype=float))
-
-
-def write_coeffs_json(path, c: CoefficientVector) -> None:
-    from .artifacts import write_json
-
-    write_json(path, coeffs_to_json(c))
-
-
-def read_coeffs_json(path) -> CoefficientVector:
-    with open(path) as fh:
-        return coeffs_from_json(json.load(fh))

@@ -129,7 +129,8 @@ def _operator(fam: MzFamily, m: int) -> _Operator:
     in four classes of columns (n, k): cosine or sine side times the parity
     of n - |k|.  G is built class block by class block, order pair by order
     pair, never whole; the Frobenius norms of the blocks P between the
-    parities of one side are taken from those entries themselves.
+    parities of one side are summed from those entries as they are made,
+    and P is never stored.
 
     Ring path: every colatitude holds >= 2 nodes, every ring keeps to its
     pattern and max ||P|| is below eps N trace G.  The operator holds the
@@ -230,21 +231,22 @@ def _class_blocks(m: int, q: np.ndarray, diag: np.ndarray, pairs: tuple, eps_n: 
     """
     cols, off = _class_columns(m)
     gram = [np.zeros((b.size, b.size)) for b in cols]
-    between_parities = [np.zeros((cols[2 * s].size, cols[2 * s + 1].size)) for s in (0, 1)]
+    between_sq = [0.0, 0.0]  # squared Frobenius norm of P on each side
 
     def put(j, jj, blk):
         """Order pair (k, k') = (j - m, jj - m) into its class blocks: blk
         has rows n = |k|.. and columns n' = |k'|.., the even offsets in
-        parity class 0 and the odd ones in class 1."""
+        parity class 0 and the odd ones in class 1; its entries between the
+        parities only add to the squared norm of P."""
         s, a, b = int(j < m), abs(j - m), abs(jj - m)
-        o0, o1, cross = off[2 * s], off[2 * s + 1], between_parities[s]
+        o0, o1 = off[2 * s], off[2 * s + 1]
         gram[2 * s][o0[a]:o0[a + 1], o0[b]:o0[b + 1]] = blk[0::2, 0::2]
         gram[2 * s + 1][o1[a]:o1[a + 1], o1[b]:o1[b + 1]] = blk[1::2, 1::2]
-        cross[o0[a]:o0[a + 1], o1[b]:o1[b + 1]] = blk[0::2, 1::2]
+        between_sq[s] += np.vdot(blk[0::2, 1::2], blk[0::2, 1::2])
         if a != b:  # the mirror image across the diagonal
             gram[2 * s][o0[b]:o0[b + 1], o0[a]:o0[a + 1]] = blk[0::2, 0::2].T
             gram[2 * s + 1][o1[b]:o1[b + 1], o1[a]:o1[a + 1]] = blk[1::2, 1::2].T
-            cross[o0[b]:o0[b + 1], o1[a]:o1[a + 1]] = blk[1::2, 0::2].T
+            between_sq[s] += np.vdot(blk[1::2, 0::2], blk[1::2, 0::2])
 
     qt = np.ascontiguousarray(q.transpose(2, 1, 0))  # (order, degree, ring)
     for j in range(2 * m + 1):  # every ring keeps the diagonal pairs
@@ -256,7 +258,7 @@ def _class_blocks(m: int, q: np.ndarray, diag: np.ndarray, pairs: tuple, eps_n: 
     for lo, hi in zip(first.tolist(), first[1:].tolist() + [j.size]):
         a, b, r = abs(int(j[lo]) - m), abs(int(jj[lo]) - m), ring[lo:hi]
         put(int(j[lo]), int(jj[lo]), (qt[a, a:][:, r] * w[lo:hi]) @ qt[b, b:][:, r].T)
-    between = max(float(np.linalg.norm(x)) for x in between_parities)
+    between = math.sqrt(max(between_sq))
     if between >= eps_n * sum(np.trace(g) for g in gram):
         return None
     return tuple((b, g) for b, g in zip(cols, gram) if b.size), between

@@ -12,7 +12,7 @@ Marcinkiewicz-Zygmund family with weights 1/N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -402,12 +402,7 @@ def write_nodes_csv(path, fam: MzFamily) -> None:
 
 def partition_to_json(p: EqualAreaPartition) -> dict:
     return {
-        "N": p.N,
-        "theta0": p.theta0,
-        "s": p.s,
-        "delta_theta": p.delta_theta,
-        "ell": list(p.ell),
-        "theta_bounds": list(p.theta_bounds),
+        **asdict(p),
         "max_cap_radius": p.max_cap_radius,
         "min_inscribed_radius": p.min_inscribed_radius,
     }

@@ -1,9 +1,12 @@
 """Frame constants, remainder sums, certificates and bound verification."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheredecon.certify import (
     bound_apriori,
@@ -15,7 +18,14 @@ from spheredecon.certify import (
     verify_bound,
     certificate_to_json,
 )
-from spheredecon.filters import cap_multipliers, fit_decay, fit_lower, identity_multipliers
+from spheredecon.cli import run_experiment_row
+from spheredecon.filters import (
+    MultiplierFilter,
+    cap_multipliers,
+    fit_decay,
+    fit_lower,
+    identity_multipliers,
+)
 from spheredecon.forward import apply_multiplier, simulate
 from spheredecon.harmonics import num_coeffs, random_poly, sobolev_norm
 from spheredecon.reconstruct import lsq_solve
@@ -274,3 +284,63 @@ class TestVerifyBound:
             "bound_L2", "verification",
         }
         assert set(obj) == expected_keys
+
+    def test_json_values_are_the_certificate_fields(self):
+        filt = cap_multipliers(0.4, 12)
+        cert = bound_apriori(m=5, beta=0.01, epsilon=0.3, omega=2.0, gamma=1.5, zeta=1.5,
+                             norm_f_omega=0.7, c=fit_decay(filt, 1.5), c0=fit_lower(filt, 1.5),
+                             fit_m_max=4)
+        assert cert.norm_route == "operator" and cert.range_limited
+        assert cert.bound_L2 is not None
+        ver = verify_bound(random_poly(6, 2.0, seed=1), filt, random_poly(5, 2.0, seed=2), cert)
+        obj = certificate_to_json(cert, ver)
+        for field in dataclasses.fields(cert):
+            value = getattr(cert, field.name)
+            assert obj[field.name] == value and type(obj[field.name]) is type(value)
+        assert obj["verification"] == {
+            "measured_Hzeta": ver.measured_Hzeta, "measured_L2": ver.measured_L2,
+            "pass_Hzeta": ver.pass_Hzeta, "pass_L2": ver.pass_L2, "passed": ver.passed,
+        }
+
+
+MULTIPLIERS = st.one_of(
+    st.just("identity"),
+    st.floats(min_value=0.05, max_value=0.6),  # cap radius theta0
+    st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=17, max_size=17),
+)
+
+
+class TestCertificateSoundness:
+    """Whenever the searched family certifies (epsilon < 1), the measured
+    errors of an experiment cell stay within its bounds."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(min_value=1, max_value=8),
+        extra=st.integers(min_value=0, max_value=8),
+        multipliers=MULTIPLIERS,
+        omega=st.floats(min_value=1.2, max_value=4.0),
+        gamma=st.sampled_from([0.0, 0.5, 1.5]),
+        zeta_is_gamma=st.booleans(),
+        beta=st.sampled_from([0.0, 1e-3, 1e-2, 0.1]),
+        rule=st.sampled_from(["area_center", "random_in_region"]),
+        nodes_factor=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_random_cells_pass(self, m, extra, multipliers, omega, gamma, zeta_is_gamma,
+                               beta, rule, nodes_factor, seed):
+        degree = m + extra  # of the truth and the filter
+        if isinstance(multipliers, str):
+            filt = identity_multipliers(degree)
+        elif isinstance(multipliers, float):
+            filt = cap_multipliers(multipliers, degree)
+        else:
+            filt = MultiplierFilter(np.array(multipliers[: degree + 1]))
+        truth = random_poly(degree, sigma=omega, seed=seed)
+        row = run_experiment_row(
+            filt, truth, omega, gamma, gamma if zeta_is_gamma else 0.0, m, beta,
+            noise_seed=seed + 1, nodes_factor=nodes_factor, rule=rule, node_seed=seed + 2,
+        )
+        assert row["epsilon"] < 1
+        assert row["pass_Hzeta"], row
+        assert row["pass_L2"] is not False, row

@@ -509,16 +509,22 @@ class TestMalformedMeasurements:
             ("theta,phi,weight,y\n\n\n", "no measurement rows"),
             ("theta,phi,weight,y\n0.5,1.0,0.5,1.0\n\n1.0,2.0,0.5,nan\n", "line 4"),
             ("theta,phi,weight,y\r\n0.5,1.0,0.5,1.0\r\n\r\n-0.5,1.0,0.5,1.0\r\n", "line 4"),
+            (b"theta,phi,weight,y\n0.5,1.0,1.0,1.0\xff\n", "line 2"),
+            (b"\xff\xfe\n0.5,1.0,1.0,1.0\n", "line 1 is not UTF-8"),
         ],
         ids=["header_only", "short_row", "nan_y", "inf_weight", "theta_4", "abc",
              "five_fields", "bad_after_blank", "weights_sum", "hash_in_field",
-             "header_then_blank_lines", "nan_after_empty_line", "crlf_theta_after_empty_line"],
+             "header_then_blank_lines", "nan_after_empty_line", "crlf_theta_after_empty_line",
+             "non_utf8_row", "non_utf8_header"],
     )
     def test_reconstruct_reports_json_error(self, body, where, tmp_path, capsys):
         filt = tmp_path / "f.json"
         run(["filter", "--kind", "identity", "--m-max", 2, "--out", filt], capsys)
         meas = tmp_path / "meas.csv"
-        meas.write_text(body)
+        if isinstance(body, bytes):
+            meas.write_bytes(body)
+        else:
+            meas.write_text(body)
         sol = tmp_path / "sol.json"
         code, _, err = run(
             ["reconstruct", "--filter", filt, "--measurements", meas, "--m", 1,
@@ -540,7 +546,10 @@ class TestMalformedSidecar:
         run(["filter", "--kind", "identity", "--m-max", 2, "--out", filt], capsys)
         meas, side = tmp_path / "meas.csv", tmp_path / "meas.json"
         meas.write_text(self.MEASUREMENTS)
-        side.write_text(sidecar_body)
+        if isinstance(sidecar_body, bytes):
+            side.write_bytes(sidecar_body)
+        else:
+            side.write_text(sidecar_body)
         code, _, err = run(
             ["reconstruct", "--filter", filt, "--measurements", meas, "--sidecar", side,
              "--m", 0, "--out", tmp_path / "sol.json"],
@@ -563,10 +572,11 @@ class TestMalformedSidecar:
             ('{"seed": "3"}', "seed"),
             ('{"truth_ref": 5}', "truth_ref"),
             ("[" * 100000, "not JSON"),
+            (b'{"beta": 0.1\xff}', "not JSON"),
         ],
         ids=["list", "not_json", "beta_null", "beta_string", "beta_bool", "beta_negative",
              "beta_nan", "beta_inf", "seed_float", "seed_string", "truth_ref_int",
-             "nested_deeper_than_recursion_limit"],
+             "nested_deeper_than_recursion_limit", "non_utf8"],
     )
     def test_reconstruct_reports_json_error(self, body, where, tmp_path, capsys):
         code, err, side = self.reconstruct(body, tmp_path, capsys)
@@ -653,9 +663,11 @@ class TestArtifactBytes:
              "meas.csv", "0f9b4c3f1023e837f2cd42a2326e8aae4ecc662c5a2185a60ccb9ac9feede5eb"),
             (SIMULATE + ["--filter", "cap.json", "--out", "meas.csv"],
              "meas.json", "b6bb2f7a9a1c1d9fc17918bd08c9bccfbe39f2889943f97f68475e55cc717b01"),
+            (CAP + ["--gamma", 1.5, "--zeta", 1.5, "--out", "fits.json"],
+             "fits.json", "a2043ddd160cd93e25fb518f27ef4d9e38e187a06c1abb5f02a29fe82efb81e5"),
         ],
         ids=["partition_json", "partition_csv", "nodes_area_center", "nodes_random",
-             "simulate_csv", "simulate_sidecar"],
+             "simulate_csv", "simulate_sidecar", "cap_filter_with_fits"],
     )
     def test_sha256(self, argv, name, digest, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -901,3 +913,11 @@ class TestExperimentFamilies:
         ]
         # JSON keeps every double exactly (repr round trip), so this is bitwise
         assert rows == json.loads(json.dumps(expected))
+
+    def test_rows_hold_exactly_their_keys(self, tmp_path, capsys):
+        _, rows = self.experiment(tmp_path, capsys)
+        for row in rows:
+            assert set(row) == {
+                "m", "N", "beta", "measured_L2", "measured_Hzeta", "bound_Hzeta", "bound_L2",
+                "epsilon", "residual", "pass_Hzeta", "pass_L2", "passed", "search",
+            }

@@ -608,6 +608,19 @@ class TestRingOperator:
             tracemalloc.stop()
         assert peak < 33**4 * 8
 
+    def test_build_stores_no_block_between_the_parities(self):
+        # the four class blocks hold a quarter of G; the two blocks P between
+        # the parities of each side would add an eighth more
+        fam = pick_nodes(build_partition(4356))
+        _operator(pick_nodes(build_partition(50)), 2)  # first-call allocations
+        tracemalloc.start()
+        try:
+            _operator(fam, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.7 * 33**4 * 8
+
     def test_slack_is_the_norm_of_the_dropped_entries(self):
         # a 1e-12 north-south tilt of the weights lifts the entries between
         # the parity classes far above rounding, still below eps N trace G
