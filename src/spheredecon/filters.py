@@ -28,6 +28,7 @@ import numpy as np
 from .special_functions import (
     JacobiParams,
     QuadratureError,
+    _jacobi_steps,
     adaptive_quadrature,
     jacobi_all,
     jacobi_at_one,
@@ -270,8 +271,8 @@ def multipliers_from_profile(
 ) -> MultiplierFilter:
     """Multipliers of a radial profile by one adaptive quadrature for all degrees.
 
-    The integrand is the whole table P_0 .. P_{m_max} at the quadrature points,
-    scaled by h0(r) A(r), so each pass of the rule yields every b_m.  The rule
+    Each pass of the rule steps the Jacobi recurrence at its points and sums
+    w P_n h0(r) A(r) (einsum, not BLAS) as each P_n is made.  The rule
     starts from 4 m_max panels over the profile support (the top Jacobi
     polynomial oscillates ~m_max times on [0, pi]) and doubles until every
     degree has converged to within ``tol``.
@@ -283,10 +284,9 @@ def multipliers_from_profile(
     lo, hi = profile.support
     norm = np.array([jacobi_at_one(m, params) for m in range(m_max + 1)])
 
-    def integrand(r):
-        table = jacobi_all(m_max, params, np.cos(r))
-        table *= profile.evaluate(r) * radial_density(r, params)
-        return table
+    def integrand(r, w):
+        wg = w * (profile.evaluate(r) * radial_density(r, params))
+        return [np.einsum("i,i->", wg, p) for p in _jacobi_steps(m_max, params, np.cos(r))]
 
     try:
         # the tolerance applies to b_m = integral / P_m(1); norm[0] = 1
@@ -302,12 +302,9 @@ def profile_l2_norm(
     profile: RadialProfile, params: JacobiParams = JacobiParams.sphere(2)
 ) -> float:
     """L2(mu) norm of the zonal function with the given radial profile."""
-    lo, hi = profile.support
-
-    def integrand(r):
-        return profile.evaluate(r) ** 2 * radial_density(r, params)
-
-    return math.sqrt(adaptive_quadrature(integrand, lo, hi, tol=1e-10, base_panels=32))
+    return math.sqrt(adaptive_quadrature(
+        lambda r, w: np.einsum("i,i->", w, profile.evaluate(r) ** 2 * radial_density(r, params)),
+        *profile.support, tol=1e-10, base_panels=32))
 
 
 def fit_decay(filt: MultiplierFilter, gamma: float) -> float:

@@ -175,9 +175,10 @@ def read_measurements_csv(path, sidecar_path=None) -> MeasurementSet:
 
 
 def _open_text(path):
-    """The file as UTF-8 text; bytes that are not UTF-8 come through as lone
-    surrogates, which no number parses, and ``_utf8_line`` names their line."""
-    return open(path, encoding="utf-8", errors="surrogateescape")
+    """The file as UTF-8 text less a leading byte-order mark; bytes that are not
+    UTF-8 come through as lone surrogates, which no number parses, and ``_utf8_line``
+    names their line."""
+    return open(path, encoding="utf-8-sig", errors="surrogateescape")
 
 
 def _utf8_line(path, lineno: int, line: str) -> str:
@@ -224,7 +225,7 @@ def _read_sidecar(path) -> dict:
     file unless beta is a finite number >= 0, seed an int or null and
     truth_ref an object or null."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # drops a byte-order mark
             meta = json.load(fh)
     except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: not JSON: {exc}") from None

@@ -8,11 +8,11 @@ addition theorem reads sum_ell Y_m^ell(x) Y_m^ell(y) = (2m+1) P_m(cos rho),
 and the squared l2 norm of a coefficient vector equals the squared L2 norm
 of the synthesized function.
 
-The colatitude (Legendre) factors are computed once per distinct colatitude,
-so points on a few latitude rings, such as area_center nodes, share them;
-scattered points simply form one ring each.  Synthesis is matrix-free: it
-sums the factors against the coefficients per ring and never forms the
-basis matrix; its adjoint, analysis, sums the samples per ring first.
+The colatitude (Legendre) factors come one degree at a time, and each
+degree is used as it is made: ``basis_matrix`` writes its block of rows, and
+matrix-free synthesis adds it to per-ring sums (points on a few latitude
+rings, such as area_center nodes, share them).  ``normalized_legendre``
+stacks the degrees for the few ring colatitudes that ``reconstruct`` keeps.
 
 The azimuthal factors cos(k phi), sin(k phi) come from one sin/cos pair per
 point by angle addition (``_trig``), with real elementwise operations only,
@@ -92,35 +92,41 @@ class CoefficientVector:
         return float(np.linalg.norm(self.coeffs))
 
 
-def normalized_legendre(m_max: int, theta: np.ndarray) -> np.ndarray:
-    """Colatitude factors Q[m, k] of the orthonormal basis, shape (n, m_max+1, m_max+1).
-
-    Q[:, m, k] = sqrt((2m+1)(m-k)!/(m+k)!) * P_m^k(cos theta) for 0 <= k <= m
-    (no Condon-Shortley phase), computed by the scaled recurrences: sectoral
-    seed Q_{k,k} = sqrt((2k+1)/(2k)) sin(theta) Q_{k-1,k-1}, then upward in
-    degree.  The scaling keeps every entry O(sqrt(2m+1)), stable far beyond
-    m = 200.
-    """
+def _legendre_steps(m_max: int, theta):
+    """Yield Q[m, k] = sqrt((2m+1)(m-k)!/(m+k)!) P_m^k(cos theta), k = 0..m
+    (no Condon-Shortley phase), shape (m+1, n), for m = 0..m_max in turn:
+    sectoral Q[m, m] from Q[m-1, m-1], the orders k < m from degrees m-1 and
+    m-2.  The scaling keeps every entry O(sqrt(2m+1)), stable far beyond
+    m = 200.  Three buffers rotate: use each degree before the next and do
+    not write to it."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    x = np.cos(theta)
-    s = np.sin(theta)
-    # built as (degree, order, point), so that each step below works on
-    # contiguous rows, then laid out point-major
-    q = np.zeros((m_max + 1, m_max + 1, theta.size))
-    q[0, 0] = 1.0
-    for k in range(1, m_max + 1):
-        q[k, k] = math.sqrt((2 * k + 1) / (2 * k)) * s * q[k - 1, k - 1]
-    # degree by degree, all orders k < m at once
+    x, s = np.cos(theta), np.sin(theta)
+    bufs = np.empty((3, m_max + 1, theta.size))
+    bufs[0, 0] = 1.0
+    prev, cur = bufs[2, :0], bufs[0, :1]
+    yield cur
     for m in range(1, m_max + 1):
+        q = bufs[m % 3, : m + 1]
+        np.multiply(math.sqrt((2 * m + 1) / (2 * m)) * s, cur[m - 1], out=q[m])
         k = np.arange(m)
-        alpha = np.sqrt((2 * m - 1) * (2 * m + 1) / ((m - k) * (m + k)))
-        q[m, :m] = alpha[:, None] * x * q[m - 1, :m]
+        np.multiply(np.sqrt((4 * m * m - 1) / ((m - k) * (m + k)))[:, None], x, out=q[:m])
+        q[:m] *= cur
         k = k[: m - 1]
-        beta = np.sqrt(
-            (2 * m + 1) * (m - 1 - k) * (m - 1 + k) / ((2 * m - 3) * (m - k) * (m + k))
-        )
-        q[m, : m - 1] -= beta[:, None] * q[m - 2, : m - 1]
-    return np.ascontiguousarray(q.transpose(2, 0, 1))
+        prev *= np.sqrt((2 * m + 1) * (m - 1 - k) * (m - 1 + k)
+                        / ((2 * m - 3) * (m - k) * (m + k)))[:, None]
+        q[: m - 1] -= prev  # degree m - 2, not read again
+        prev, cur = cur, q
+        yield q
+
+
+def normalized_legendre(m_max: int, theta: np.ndarray) -> np.ndarray:
+    """Colatitude factors Q[m, k] of the orthonormal basis, shape (n, m_max+1, m_max+1),
+    zero for k > m: the degrees of ``_legendre_steps`` stacked."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    q = np.zeros((theta.size, m_max + 1, m_max + 1))
+    for m, qm in enumerate(_legendre_steps(m_max, theta)):
+        q[:, m, : m + 1] = qm.T
+    return q
 
 
 _TRIG_CHUNK = 512  # nodes per scratch block of ``_trig``
@@ -165,26 +171,24 @@ def _trig(m_max: int, phis) -> np.ndarray:
     return trig
 
 
-def _rings(m_max: int, thetas, phis):
-    """Colatitude factors Q per distinct colatitude (ring), the ring of each
-    point, and its azimuthal factors (``_trig``)."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    rings, ring_of = np.unique(thetas, return_inverse=True)
-    return normalized_legendre(m_max, rings), ring_of, _trig(m_max, phis)
+def _basis_transpose(m_max: int, steps, trig_t: np.ndarray) -> np.ndarray:
+    """B^T, one degree block of rows at a time, from the degrees Q[m, 0..m] (order,
+    point) of ``steps`` and the order-major azimuthal factors (rows scale with them)."""
+    out = np.empty((num_coeffs(m_max), trig_t.shape[1]))
+    for m, q in enumerate(steps):
+        rows = out[block_slice(m)]
+        np.multiply(math.sqrt(2.0), q[:0:-1], out=rows[:m])  # sin half: k = -m..-1
+        rows[m] = q[0]
+        np.multiply(math.sqrt(2.0), q[1:], out=rows[m + 1 :])  # cos half: k = 1..m
+        rows *= trig_t[m_max - m : m_max + m + 1]
+    return out
 
 
 def _basis_rows(q, ring_of, trig) -> np.ndarray:
-    """Basis rows from the factors of ``_rings`` (the rows scale with trig)."""
+    """Basis rows from ring factors: Q per ring, the ring of each point, trig."""
     m_max = q.shape[1] - 1
-    out = np.empty((ring_of.size, num_coeffs(m_max)))
-    sqrt2 = math.sqrt(2.0)
-    for m in range(m_max + 1):
-        factor = sqrt2 * q[:, m, np.abs(np.arange(-m, m + 1))]
-        factor[:, m] = q[:, m, 0]
-        np.multiply(
-            factor[ring_of], trig[:, m_max - m : m_max + m + 1], out=out[:, block_slice(m)]
-        )
-    return out
+    steps = (q[ring_of, m, : m + 1].T for m in range(m_max + 1))
+    return _basis_transpose(m_max, steps, np.ascontiguousarray(trig.T)).T
 
 
 def basis_matrix(m_max: int, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -192,56 +196,54 @@ def basis_matrix(m_max: int, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray
 
     Order ell = 1..2m+1 of degree m is azimuthal k = ell - 1 - m in -m..m,
     with value sqrt(2) Q[m, |k|] sin(|k| phi) for k < 0, Q[m, 0] for k = 0
-    and sqrt(2) Q[m, k] cos(k phi) for k > 0.
+    and sqrt(2) Q[m, k] cos(k phi) for k > 0.  Returned as a view of its
+    transpose, which is written degree by degree with no table of Q.
     """
-    return _basis_rows(*_rings(m_max, thetas, phis))
+    trig_t = np.ascontiguousarray(_trig(m_max, phis).T)
+    return _basis_transpose(m_max, _legendre_steps(m_max, thetas), trig_t).T
+
+
+def _order_sums(m_max: int, steps, coeffs: np.ndarray, rings: int) -> np.ndarray:
+    """a[m_max + k, r] = sum_m Q[r, m, |k|] c'[m, k] (c' scaled by sqrt(2) off
+    k = 0), summed over the degrees Q[m, 0..m] (order, ring) of ``steps``."""
+    a = np.zeros((2 * m_max + 1, rings))
+    tmp = np.empty((m_max + 1, rings))
+    for m, q in enumerate(steps):
+        cm = math.sqrt(2.0) * coeffs[block_slice(m)]
+        cm[m] = coeffs[m * m + m]
+        a[m_max : m_max + m + 1] += np.multiply(cm[m:, None], q, out=tmp[: m + 1])  # k = 0..m
+        a[m_max - m : m_max] += np.multiply(cm[:m, None], q[:0:-1], out=tmp[:m])  # k = -m..-1
+    return a
 
 
 def _synthesis(q, ring_of, trig, coeffs: np.ndarray) -> np.ndarray:
-    """Values sum_k a[ring, k] trig[:, k] at the points of ``_rings``, where
-    a[r, k] = sum_m Q[r, m, |k|] c'[m, k] with c' the coefficients laid out by
-    (degree, azimuthal order) and scaled by sqrt(2) off k = 0."""
+    """Values at the points of ring factors (see ``_basis_rows``): each
+    point sums its ring's ``_order_sums`` times its azimuthal factors."""
     m_max = q.shape[1] - 1
-    table = np.zeros((m_max + 1, 2 * m_max + 1))
-    for m in range(m_max + 1):
-        table[m, m_max - m : m_max + m + 1] = math.sqrt(2.0) * coeffs[block_slice(m)]
-        table[m, m_max] = coeffs[m * m + m]
-    # cos half: orders k = 0..m_max; sin half: orders k = m_max..1, read as |k|
-    a = np.empty((q.shape[0], 2 * m_max + 1))
-    a[:, m_max:] = np.einsum("rmk,mk->rk", q, table[:, m_max:])
-    a[:, :m_max] = np.einsum("rmk,mk->rk", q[:, :, :0:-1], table[:, :m_max])
-    return np.einsum("nk,nk->n", a[ring_of], trig)
+    a = _order_sums(m_max, (q[:, m, : m + 1].T for m in range(m_max + 1)), coeffs, q.shape[0])
+    return np.einsum("nk,nk->n", a.T[ring_of], trig)
 
 
 def _analysis(q, ring_of, trig, v: np.ndarray) -> np.ndarray:
-    """Adjoint of ``_synthesis``: the coefficients sum_j v_j Y(x_j), from the
-    per-ring sums a[r, k] = sum_{j in r} v_j trig[j, k], each a run of
-    ``np.add.reduceat`` over the points grouped by ring."""
-    m_max = q.shape[1] - 1
+    """Adjoint of ``_synthesis``: sum_j v_j Y(x_j), the ring rows of ``_basis_rows``
+    with the per-ring sums a[r, k] = sum_{j in r} v_j trig[j, k] for trig (each
+    a run of ``np.add.reduceat`` over the points grouped by ring), summed."""
     order = np.argsort(ring_of, kind="stable")  # the identity for points stored ring by ring
     grouped = ring_of[order]
     starts = np.flatnonzero(np.diff(grouped, prepend=-1))
-    a = np.zeros((q.shape[0], 2 * m_max + 1))
+    a = np.zeros((q.shape[0], trig.shape[1]))
     a[grouped[starts]] = np.add.reduceat(trig[order] * v[order, None], starts)
-    table = np.empty((m_max + 1, 2 * m_max + 1))
-    table[:, m_max:] = np.einsum("rmk,rk->mk", q, a[:, m_max:])
-    table[:, :m_max] = np.einsum("rmk,rk->mk", q[:, :, :0:-1], a[:, :m_max])
-    out = np.empty(num_coeffs(m_max))
-    for m in range(m_max + 1):
-        out[block_slice(m)] = math.sqrt(2.0) * table[m, m_max - m : m_max + m + 1]
-        out[m * m + m] = table[m, m_max]
-    return out
+    return _basis_rows(q, np.arange(q.shape[0]), a).sum(axis=0)
 
 
 def eval_poly_many(c: CoefficientVector, thetas, phis) -> np.ndarray:
-    """Synthesis at many points, without forming the basis matrix.
-
-    Per ring, a[k] = sum_m Q[m, |k|] c'[m, k] with c' the coefficients laid
-    out by (degree, azimuthal order) and scaled by sqrt(2) off k = 0; each
-    point then sums a[k] times its azimuthal factor.  Only einsum is used, so
-    the values do not depend on the BLAS thread count.
-    """
-    return _synthesis(*_rings(c.m_max, thetas, phis), c.coeffs)
+    """Synthesis at many points, without forming the basis matrix: each
+    point sums its colatitude's ``_order_sums`` times its azimuthal factors.
+    Only elementwise operations and einsum are used, so the values do not
+    depend on the BLAS thread count."""
+    rings, ring_of = np.unique(np.atleast_1d(thetas), return_inverse=True)
+    a = _order_sums(c.m_max, _legendre_steps(c.m_max, rings), c.coeffs, rings.size)
+    return np.einsum("nk,nk->n", a.T[ring_of], _trig(c.m_max, phis))
 
 
 def zonal_kernel(m: int, x: SpherePoint, y: SpherePoint) -> float:
@@ -254,7 +256,7 @@ def zonal_kernel(m: int, x: SpherePoint, y: SpherePoint) -> float:
 
 def sobolev_weights(m_max: int, sigma: float) -> np.ndarray:
     """Per-coefficient weights (1 + m(m+1))^sigma in the degree-major layout."""
-    degrees = np.concatenate([np.full(2 * m + 1, m) for m in range(m_max + 1)])
+    degrees = np.repeat(np.arange(m_max + 1), 2 * np.arange(m_max + 1) + 1)
     return (1.0 + degrees * (degrees + 1.0)) ** sigma
 
 

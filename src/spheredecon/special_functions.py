@@ -51,21 +51,18 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-def jacobi_all(m_max: int, params: JacobiParams, x):
-    """All Jacobi polynomial values P_0^{a,b}(x) .. P_{m_max}^{a,b}(x).
-
-    Three-term recurrence in the degree; stable on [-1, 1].  ``x`` may be a
-    scalar or an ndarray; the result has shape (m_max+1,) + shape(x).
-    """
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
+def _jacobi_steps(m_max: int, params: JacobiParams, x):
+    """Yield P_0^{a,b}(x) .. P_{m_max}^{a,b}(x) in turn by the three-term
+    recurrence, stable on [-1, 1].  Three buffers rotate: use each degree
+    before the next and do not write to it."""
     a, b = params.a, params.b
     x = np.asarray(x, dtype=float)
-    out = np.empty((m_max + 1,) + x.shape, dtype=float)
-    out[0] = 1.0
+    prev, cur, new = np.ones(x.shape), np.empty(x.shape), np.empty(x.shape)
+    yield prev
     if m_max == 0:
-        return out
-    out[1] = 0.5 * (a + b + 2) * x + 0.5 * (a - b)
+        return
+    np.add(0.5 * (a + b + 2) * x, 0.5 * (a - b), out=cur)
+    yield cur
     for n in range(1, m_max):
         # 2(n+1)(n+a+b+1)(2n+a+b) P_{n+1} =
         #   (2n+a+b+1)[(2n+a+b+2)(2n+a+b) x + a^2-b^2] P_n
@@ -75,8 +72,24 @@ def jacobi_all(m_max: int, params: JacobiParams, x):
         a2 = (c + 1) * (a * a - b * b)
         a3 = (c + 1) * (c + 2) * c
         a4 = 2 * (n + a) * (n + b) * (c + 2)
-        out[n + 1] = ((a2 + a3 * x) * out[n] - a4 * out[n - 1]) / a1
-    return out
+        np.multiply(a3, x, out=new)
+        new += a2
+        new *= cur
+        prev *= a4  # P_{n-1} is not read again
+        new -= prev
+        new /= a1
+        prev, cur, new = cur, new, prev
+        yield cur
+
+
+def jacobi_all(m_max: int, params: JacobiParams, x):
+    """All Jacobi polynomial values P_0^{a,b}(x) .. P_{m_max}^{a,b}(x) (``_jacobi_steps``).
+
+    ``x`` may be a scalar or an ndarray; the result has shape (m_max+1,) + shape(x).
+    """
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
+    return np.array([p.copy() for p in _jacobi_steps(m_max, params, x)])
 
 
 def jacobi(m: int, params: JacobiParams, x):
@@ -140,32 +153,17 @@ def radial_density(r, params: JacobiParams):
 # Gauss-Legendre panel rule used by the adaptive quadrature.
 _GL_ORDER = 12
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
-# Values per integrand call: a vector integrand's (k, points) table is
-# evaluated over chunks of panels that hold at most about this many values.
-_CHUNK_VALUES = 1 << 22
 
 
 def _composite_gl(f: Callable, lo: float, hi: float, panels: int) -> float | np.ndarray:
+    """The composite rule of ``panels`` equal panels: f(points, weights)
+    over all its points at once, each weight with its panel's half width."""
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    # points shaped (panels, order); a vector integrand returns (k, points)
-    # and yields k integrals.  A first chunk of 4 panels tells k, which sizes
-    # the rest; the per-panel sums are summed once at the end.  Chunks start
-    # at multiples of 4 panels, where the BLAS matrix-vector kernel starts
-    # its groups of rows, so the sums match a single call's bit for bit.
-    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    sums, start, step = [], 0, 4
-    while start < panels:
-        chunk = pts[start : start + step]
-        vals = f(chunk.ravel())
-        vals = vals.reshape(vals.shape[:-1] + chunk.shape)
-        sums.append(vals @ _GL_WEIGHTS * half[start : start + step])
-        start += step
-        step = max(4, _CHUNK_VALUES * chunk.shape[0] // vals.size // 4 * 4)
-        del vals  # before the next call allocates its table
-    total = np.sum(np.concatenate(sums, axis=-1), axis=-1)
-    return float(total) if total.ndim == 0 else total
+    weights = (half[:, None] * _GL_WEIGHTS).ravel()
+    total = f((mid[:, None] + half[:, None] * _GL_NODES).ravel(), weights)
+    return float(total) if np.ndim(total) == 0 else np.asarray(total, dtype=float)
 
 
 def adaptive_quadrature(
@@ -176,14 +174,14 @@ def adaptive_quadrature(
     base_panels: int = 8,
     max_panels: int = 1 << 18,
 ) -> float | np.ndarray:
-    """Integrate a vectorized integrand on [lo, hi] to absolute tolerance.
+    """Integrate on [lo, hi] to absolute tolerance.
 
     Composite Gauss-Legendre with panel doubling: the panel count doubles
-    until two successive composite values agree within ``tol``.  An integrand
-    returning shape (k, points) integrates k functions on one rule; it
-    returns a (k,) array, and every component must agree within ``tol``.  A
-    scalar integrand returns a float.  Raises QuadratureError if the panel
-    budget is exhausted first.
+    until two successive composite values agree within ``tol``.  The
+    integrand f(x, w) takes the rule's points and weights and returns
+    sum_i w_i g(x_i): a scalar (returned as a float) or k sums for k
+    functions (a (k,) array, every component agreeing within ``tol``).
+    Raises QuadratureError if the panel budget is exhausted first.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")

@@ -1,4 +1,5 @@
-"""Shared test oracles: quadrature grids and random points on the sphere."""
+"""Shared test oracles: quadrature grids, random points on the sphere and
+integrands of the adaptive quadrature."""
 
 import numpy as np
 
@@ -24,3 +25,9 @@ def random_sphere_points(n: int, seed: int):
     theta = np.arccos(rng.uniform(-1, 1, n))
     phi = rng.uniform(0, 2 * np.pi, n)
     return theta, phi
+
+
+def weighted(f):
+    """The integrand of ``adaptive_quadrature`` for a pointwise function f:
+    the weighted sum of its values (k sums when f returns (k, points))."""
+    return lambda r, w: np.sum(w * f(r), axis=-1)

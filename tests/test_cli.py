@@ -511,11 +511,12 @@ class TestMalformedMeasurements:
             ("theta,phi,weight,y\r\n0.5,1.0,0.5,1.0\r\n\r\n-0.5,1.0,0.5,1.0\r\n", "line 4"),
             (b"theta,phi,weight,y\n0.5,1.0,1.0,1.0\xff\n", "line 2"),
             (b"\xff\xfe\n0.5,1.0,1.0,1.0\n", "line 1 is not UTF-8"),
+            (b"\xef\xbb\xbftheta,phi,weight,y\n0.5,1.0,1.0,1.0\xff\n", "line 2 is not UTF-8"),
         ],
         ids=["header_only", "short_row", "nan_y", "inf_weight", "theta_4", "abc",
              "five_fields", "bad_after_blank", "weights_sum", "hash_in_field",
              "header_then_blank_lines", "nan_after_empty_line", "crlf_theta_after_empty_line",
-             "non_utf8_row", "non_utf8_header"],
+             "non_utf8_row", "non_utf8_header", "bom_then_non_utf8_row"],
     )
     def test_reconstruct_reports_json_error(self, body, where, tmp_path, capsys):
         filt = tmp_path / "f.json"
@@ -573,10 +574,11 @@ class TestMalformedSidecar:
             ('{"truth_ref": 5}', "truth_ref"),
             ("[" * 100000, "not JSON"),
             (b'{"beta": 0.1\xff}', "not JSON"),
+            (b'\xef\xbb\xbf{"beta": 0.1\xff}', "not JSON"),
         ],
         ids=["list", "not_json", "beta_null", "beta_string", "beta_bool", "beta_negative",
              "beta_nan", "beta_inf", "seed_float", "seed_string", "truth_ref_int",
-             "nested_deeper_than_recursion_limit", "non_utf8"],
+             "nested_deeper_than_recursion_limit", "non_utf8", "bom_then_non_utf8"],
     )
     def test_reconstruct_reports_json_error(self, body, where, tmp_path, capsys):
         code, err, side = self.reconstruct(body, tmp_path, capsys)
@@ -590,6 +592,24 @@ class TestMalformedSidecar:
         body = json.dumps({"beta": 0, "seed": 4, "truth_ref": {"truth_m_max": 2}})
         code, err, _ = self.reconstruct(body, tmp_path, capsys)
         assert code == 0, err
+
+    def test_byte_order_marks_are_dropped(self, tmp_path, capsys):
+        """A CSV and a sidecar saved with a UTF-8 byte-order mark, as
+        spreadsheet tools write them, reconstruct like the plain files."""
+        body = json.dumps({"beta": 0.1, "seed": 4})
+        code, err, _ = self.reconstruct(body, tmp_path, capsys)
+        assert code == 0, err
+        plain = (tmp_path / "sol.json").read_bytes()
+        for name in ("meas.csv", "meas.json"):
+            path = tmp_path / name
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        code, _, err = run(
+            ["reconstruct", "--filter", tmp_path / "f.json", "--measurements", tmp_path / "meas.csv",
+             "--sidecar", tmp_path / "meas.json", "--m", 0, "--out", tmp_path / "sol.json"],
+            capsys,
+        )
+        assert code == 0, err
+        assert (tmp_path / "sol.json").read_bytes() == plain
 
 
 class TestAtomicWrite:

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from spheredecon.special_functions import JacobiParams, adaptive_quadrature, jacobi_all
+from conftest import weighted
+from spheredecon.special_functions import (
+    JacobiParams,
+    adaptive_quadrature,
+    jacobi_all,
+    jacobi_at_one,
+    radial_density,
+)
 
 from spheredecon.filters import (
     CapProfile,
@@ -71,17 +78,42 @@ class TestQuadratureMultipliers:
         np.testing.assert_allclose(quadr.b, closed.b, atol=1e-8)
         assert quadr.provenance == "quadrature"
 
-    def test_peak_memory_bounded_at_high_degree(self):
-        # with every panel in one integrand call the (401, points) table
-        # alone held 144 MB here
+    @pytest.mark.parametrize("profile", [CapProfile(0.7), LunarProfile(1737.1, 30.0)],
+                             ids=["cap", "lunar"])
+    def test_peak_memory_bounded_at_high_degree(self, profile):
+        # a pass holds a few vectors of the rule's points, where the whole
+        # (401, points) Jacobi table of the cap's last pass takes 144 MB
         tracemalloc.start()
         try:
-            filt = multipliers_from_profile(CapProfile(0.7), m_max=400, tol=1e-10)
+            filt = multipliers_from_profile(profile, m_max=400, tol=1e-10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64e6
-        np.testing.assert_allclose(filt.b, cap_multipliers(0.7, 400).b, atol=1e-8)
+        assert peak < 4e6
+        if isinstance(profile, CapProfile):
+            np.testing.assert_allclose(filt.b, cap_multipliers(0.7, 400).b, atol=1e-8)
+
+    @pytest.mark.parametrize("profile, params, m_max", [
+        (LunarProfile(1737.1, 30.0), S2, 200),
+        (PlanckProfile(0.1, 2.0), S2, 100),
+        (CapProfile(0.7), S2, 60),
+        (CapProfile(0.4), JacobiParams(1.0, 1.0), 40),
+        (LunarProfile(1737.1, 100.0), JacobiParams(1.0, 0.0), 30),
+    ], ids=["lunar", "planck", "cap", "cap_p11", "lunar_p10"])
+    def test_streamed_equals_table_then_contract(self, profile, params, m_max):
+        """The oracle forms the whole (m_max+1, points) Jacobi table at the
+        rule's points, scales it by h0 A and contracts it with the weights."""
+        norm = np.array([jacobi_at_one(m, params) for m in range(m_max + 1)])
+
+        def table(r, w):
+            return (jacobi_all(m_max, params, np.cos(r))
+                    * (profile.evaluate(r) * radial_density(r, params))) @ w
+
+        tol = 1e-10
+        oracle = adaptive_quadrature(table, *profile.support, tol=tol * norm.min(),
+                                     base_panels=max(8, 4 * m_max)) / norm
+        streamed = multipliers_from_profile(profile, params, m_max=m_max, tol=tol).b
+        assert np.max(np.abs(streamed - oracle)) <= 1e-15
 
     def test_lunar_matches_per_degree_oracle(self):
         profile = LunarProfile(1737.1, 30.0)
@@ -92,7 +124,7 @@ class TestQuadratureMultipliers:
                 return profile.evaluate(r) * jacobi_all(m, S2, np.cos(r))[m] * np.sin(r) / 2
 
             oracle = adaptive_quadrature(
-                integrand, 0.0, math.pi, tol=tol / 100, base_panels=max(8, 4 * m)
+                weighted(integrand), 0.0, math.pi, tol=tol / 100, base_panels=max(8, 4 * m)
             )
             assert abs(filt.b[m] - oracle) <= tol
 

@@ -173,6 +173,20 @@ class TestMeasurementIO:
             a[0] == b[0] and a[1] == b[1] for a, b in zip(back.nodes, ms.nodes)
         )
 
+    @pytest.mark.parametrize("marked", ["csv", "sidecar"])
+    def test_byte_order_mark_round_trip(self, marked, family, tmp_path):
+        ms = simulate(random_poly(4, sigma=1.0, seed=14), identity_multipliers(4), family,
+                      beta=1e-2, seed=15)
+        csv, sidecar = tmp_path / "meas.csv", tmp_path / "meas.json"
+        write_measurements_csv(csv, ms, sidecar_path=sidecar)
+        path = csv if marked == "csv" else sidecar
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        back = read_measurements_csv(csv, sidecar_path=sidecar)
+        np.testing.assert_array_equal(back.nodes, ms.nodes)
+        np.testing.assert_array_equal(back.weights, ms.weights)
+        np.testing.assert_array_equal(back.y, ms.y)
+        assert (back.beta, back.seed, back.truth_ref) == (ms.beta, ms.seed, ms.truth_ref)
+
     @pytest.mark.parametrize("layout", ["blank_lines", "whitespace_lines", "crlf",
                                         "no_final_newline"])
     def test_layouts_parse_to_the_same_bits(self, layout, tmp_path):

@@ -1,6 +1,7 @@
 """Basis orthonormality, addition theorem, Sobolev norms, synthesis."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -14,7 +15,7 @@ from spheredecon.harmonics import (
     _TRIG_CHUNK,
     CoefficientVector,
     _analysis,
-    _rings,
+    _basis_rows,
     _trig,
     basis_matrix,
     block_slice,
@@ -210,6 +211,48 @@ def _polar_points():
     return np.array([0.0, math.pi, 0.0, 1.1, math.pi]), np.array([0.0, 0.0, 2.5, 0.4, 5.9])
 
 
+def ring_factors(m, thetas, phis):
+    """Q per distinct colatitude (ring), the ring of each point and the
+    azimuthal factors: the operands of the ring path's rows, synthesis and
+    analysis."""
+    rings, ring_of = np.unique(np.asarray(thetas, dtype=float), return_inverse=True)
+    return normalized_legendre(m, rings), ring_of, _trig(m, phis)
+
+
+def tensor_route(m, thetas, phis):
+    """Basis rows gathered from the whole Q tensor of ``normalized_legendre``."""
+    q, ring_of, trig = ring_factors(m, thetas, phis)
+    out = np.empty((ring_of.size, num_coeffs(m)))
+    for n in range(m + 1):
+        factor = math.sqrt(2.0) * q[ring_of, n][:, np.abs(np.arange(-n, n + 1))]
+        factor[:, n] = q[ring_of, n, 0]
+        out[:, block_slice(n)] = factor * trig[:, m - n : m + n + 1]
+    return out
+
+
+class TestStreamedBasis:
+    @pytest.mark.parametrize("points", [_ring_family, _random_family, _polar_points],
+                             ids=["area_center", "random_in_region", "poles"])
+    @pytest.mark.parametrize("m", [0, 1, 2, 12, 33])
+    def test_bitwise_equal_to_the_tensor_route(self, points, m):
+        """The degree blocks written as the Legendre step makes them, and the
+        ring path's rows, equal the rows gathered from the whole Q tensor."""
+        thetas, phis = points()
+        oracle = tensor_route(m, thetas, phis)
+        assert np.array_equal(basis_matrix(m, thetas, phis), oracle)
+        assert np.array_equal(_basis_rows(*ring_factors(m, thetas, phis)), oracle)
+
+    def test_peak_memory_near_the_output(self):
+        thetas, phis = random_sphere_points(2000, seed=2)
+        tracemalloc.start()
+        try:
+            out = basis_matrix(30, thetas, phis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.nbytes
+
+
 class TestRingDedup:
     @pytest.mark.parametrize("points", [_ring_family, _random_family, _polar_points],
                              ids=["area_center", "random_in_region", "poles"])
@@ -256,7 +299,7 @@ class TestMatrixFreeSynthesis:
         v = np.random.default_rng(thetas.size).standard_normal(thetas.size)
         dense = basis_matrix(c.m_max, thetas, phis).T @ v
         tol = 1e-13 * np.sum(np.abs(v)) * math.sqrt(2 * c.m_max + 1)
-        assert np.max(np.abs(_analysis(*_rings(c.m_max, thetas, phis), v) - dense)) <= tol
+        assert np.max(np.abs(_analysis(*ring_factors(c.m_max, thetas, phis), v) - dense)) <= tol
 
 
 def basis_at(m, ell, theta, phi):
@@ -314,6 +357,35 @@ class TestEvalPoly:
         vals = eval_poly_many(c, tt, pp)
         integral = float(np.sum(vals**2 * ww))
         assert integral == pytest.approx(c.l2_norm() ** 2, abs=1e-8)
+
+
+def _synthesis_oracle(c, theta: float, phi: float) -> tuple:
+    """sum c'[m, k] Q[m, |k|](theta) trig_k(phi) from the mpmath factors, and
+    the sum of the terms' absolute values."""
+    trig = _trig_oracle(c.m_max, phi)
+    with mpmath.workdps(40):
+        total, size = mpmath.mpf(0), mpmath.mpf(0)
+        for m in range(c.m_max + 1):
+            for k in range(-m, m + 1):
+                scale = 1 if k == 0 else mpmath.sqrt(2)
+                term = (scale * mpmath.mpf(c.coeffs[m * m + m + k])
+                        * _legendre_oracle(m, abs(k), theta) * trig[c.m_max + k])
+                total += term
+                size += abs(term)
+        return float(total), float(size)
+
+
+class TestSynthesisOracle:
+    @pytest.mark.parametrize("m", [1, 6, 16])
+    def test_against_mpmath(self, m):
+        # the poles and a repeated colatitude among them
+        thetas = np.array([0.0, 1e-3, 0.7, 2.9, math.pi, 0.7])
+        phis = np.array([0.0, 4.0, 1.3, 0.1, 5.5, 6.0])
+        c = random_poly(m, 1.0, seed=m)
+        vals = eval_poly_many(c, thetas, phis)
+        for v, theta, phi in zip(vals, thetas.tolist(), phis.tolist()):
+            exact, size = _synthesis_oracle(c, theta, phi)
+            assert abs(v - exact) <= 2 * m * np.finfo(float).eps * size
 
 
 class TestZonalKernel:

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import weighted
 from spheredecon.special_functions import (
     _GL_NODES,
-    _GL_WEIGHTS,
     JacobiParams,
     QuadratureError,
     _composite_gl,
@@ -141,7 +141,8 @@ class TestRadialDensity:
 
     @pytest.mark.parametrize("params", [S2, S4, JacobiParams(1, 0)])
     def test_normalization(self, params):
-        val = adaptive_quadrature(lambda r: radial_density(r, params), 0, math.pi, tol=1e-12)
+        val = adaptive_quadrature(weighted(lambda r: radial_density(r, params)), 0, math.pi,
+                                  tol=1e-12)
         assert val == pytest.approx(1.0, abs=1e-10)
         # independent oracle route
         oracle, _ = quad(lambda r: float(radial_density(r, params)), 0, math.pi)
@@ -159,7 +160,7 @@ class TestRadialDensity:
                 vals = jacobi_all(max(m, n), params, np.cos(r))
                 return vals[m] * vals[n] * radial_density(r, params)
 
-            val = adaptive_quadrature(integrand, 0, math.pi, tol=1e-12, base_panels=64)
+            val = adaptive_quadrature(weighted(integrand), 0, math.pi, tol=1e-12, base_panels=64)
             assert abs(val) < 1e-10
 
 
@@ -231,23 +232,23 @@ class TestLogGammaOracles:
 
 class TestAdaptiveQuadrature:
     def test_polynomial_exact(self):
-        val = adaptive_quadrature(lambda x: 3 * x**2, 0.0, 2.0, tol=1e-13)
+        val = adaptive_quadrature(weighted(lambda x: 3 * x**2), 0.0, 2.0, tol=1e-13)
         assert val == pytest.approx(8.0, abs=1e-12)
 
     def test_oscillatory_against_scipy(self):
         f = lambda x: np.cos(40 * x) * np.exp(-x)
-        mine = adaptive_quadrature(f, 0.0, math.pi, tol=1e-12, base_panels=16)
+        mine = adaptive_quadrature(weighted(f), 0.0, math.pi, tol=1e-12, base_panels=16)
         other, _ = quad(lambda x: math.cos(40 * x) * math.exp(-x), 0, math.pi, limit=400)
         assert mine == pytest.approx(other, abs=1e-10)
 
     def test_budget_exhaustion_raises(self):
         spike = lambda x: 1.0 / np.sqrt(np.abs(x - 0.31234567) + 1e-300)
         with pytest.raises(QuadratureError):
-            adaptive_quadrature(spike, 0.0, 1.0, tol=1e-14, max_panels=64)
+            adaptive_quadrature(weighted(spike), 0.0, 1.0, tol=1e-14, max_panels=64)
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
-            adaptive_quadrature(lambda x: x, 0, 1, tol=0.0)
+            adaptive_quadrature(weighted(lambda x: x), 0, 1, tol=0.0)
 
     def test_vector_integrand_matches_scalar_calls(self):
         parts = [
@@ -256,11 +257,12 @@ class TestAdaptiveQuadrature:
             lambda x: radial_density(x, S2),
         ]
         vec = adaptive_quadrature(
-            lambda x: np.stack([f(x) for f in parts]), 0.0, math.pi, tol=1e-12, base_panels=16
+            weighted(lambda x: np.stack([f(x) for f in parts])), 0.0, math.pi, tol=1e-12,
+            base_panels=16,
         )
         assert isinstance(vec, np.ndarray) and vec.shape == (3,)
         for f, v in zip(parts, vec):
-            scalar = adaptive_quadrature(f, 0.0, math.pi, tol=1e-12, base_panels=16)
+            scalar = adaptive_quadrature(weighted(f), 0.0, math.pi, tol=1e-12, base_panels=16)
             assert isinstance(scalar, float)
             assert v == pytest.approx(scalar, abs=1e-12)
 
@@ -268,40 +270,56 @@ class TestAdaptiveQuadrature:
         spike = lambda x: 1.0 / np.sqrt(np.abs(x - 0.31234567) + 1e-300)
         with pytest.raises(QuadratureError):
             adaptive_quadrature(
-                lambda x: np.stack([x**2, spike(x)]), 0.0, 1.0, tol=1e-14, max_panels=64
+                weighted(lambda x: np.stack([x**2, spike(x)])), 0.0, 1.0, tol=1e-14,
+                max_panels=64,
             )
 
 
-def one_call_composite_gl(f, lo, hi, panels):
-    """The composite rule with every panel in one integrand call."""
-    edges = np.linspace(lo, hi, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = f(pts.ravel())
-    vals = vals.reshape(vals.shape[:-1] + pts.shape)
-    total = np.sum(vals @ _GL_WEIGHTS * half, axis=-1)
-    return float(total) if total.ndim == 0 else total
+class TestCompositeRule:
+    @pytest.mark.parametrize("panels", [1, 9, 37])
+    def test_hands_every_point_once_with_its_weight(self, panels):
+        seen = []
+
+        def f(r, w):
+            seen.append((r, w))
+            return np.sum(w * r**23)
+
+        total = _composite_gl(f, 0.0, 0.7, panels)
+        (r, w), = seen
+        assert r.shape == w.shape == (panels * _GL_NODES.size,)
+        assert np.all((0.0 < r) & (r < 0.7))
+        assert np.sum(w) == pytest.approx(0.7, rel=1e-14)
+        # exact for degree < 2 * 12 on every panel
+        assert isinstance(total, float) and total == pytest.approx(0.7**24 / 24, rel=1e-13)
+
+    def test_vector_sums_come_back_as_an_array(self):
+        total = _composite_gl(lambda r, w: [np.sum(w), np.sum(w * r)], 0.0, 2.0, 5)
+        assert isinstance(total, np.ndarray)
+        np.testing.assert_allclose(total, [2.0, 2.0], rtol=1e-14)
 
 
-class TestStreamedPanels:
-    @pytest.mark.parametrize("m_max, panels", [(0, 9), (5, 37), (60, 1001), (200, 800),
-                                               (300, 2403), (400, 3200)])
-    def test_bitwise_equal_to_one_call(self, m_max, panels):
-        calls = []
+def table_recurrence(m_max, params, x):
+    """The Jacobi recurrence written as a whole table, row by row."""
+    a, b = params.a, params.b
+    x = np.asarray(x, dtype=float)
+    out = np.empty((m_max + 1,) + x.shape)
+    out[0] = 1.0
+    if m_max >= 1:
+        out[1] = 0.5 * (a + b + 2) * x + 0.5 * (a - b)
+    for n in range(1, m_max):
+        c = 2 * n + a + b
+        a1 = 2 * (n + 1) * (n + a + b + 1) * c
+        a2 = (c + 1) * (a * a - b * b)
+        a3 = (c + 1) * (c + 2) * c
+        a4 = 2 * (n + a) * (n + b) * (c + 2)
+        out[n + 1] = ((a2 + a3 * x) * out[n] - a4 * out[n - 1]) / a1
+    return out
 
-        def f(r):
-            calls.append(r.size)
-            return jacobi_all(m_max, S2, np.cos(r)) * np.sin(r)
 
-        streamed = _composite_gl(f, 0.0, 0.7, panels)
-        assert np.array_equal(streamed, one_call_composite_gl(f, 0.0, 0.7, panels))
-        # every streamed call (the last call is the reference's) stays within
-        # the value budget, or is the first 4 panels
-        assert max(calls[:-1]) * (m_max + 1) <= max(1 << 22, 48 * (m_max + 1))
-
-    def test_scalar_integrand(self):
-        def f(r):
-            return np.sin(r) ** 2
-
-        assert _composite_gl(f, 0.0, 1.0, 37) == one_call_composite_gl(f, 0.0, 1.0, 37)
+class TestStreamedRecurrence:
+    @pytest.mark.parametrize("params", [S2, JacobiParams(1, 1), JacobiParams(1, 0)])
+    @pytest.mark.parametrize("m_max", [0, 1, 2, 60])
+    def test_bitwise_equal_to_the_table(self, m_max, params):
+        xs = np.cos(np.random.default_rng(m_max).uniform(0.0, math.pi, 50))
+        assert np.array_equal(jacobi_all(m_max, params, xs), table_recurrence(m_max, params, xs))
+        assert np.array_equal(jacobi_all(m_max, params, 0.3), table_recurrence(m_max, params, 0.3))
