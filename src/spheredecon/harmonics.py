@@ -18,7 +18,10 @@ The azimuthal factors cos(k phi), sin(k phi) come from one sin/cos pair per
 point by angle addition (``_trig``), with real elementwise operations only,
 so each point's values are independent of the batch and of the BLAS thread
 count; their error, checked against mpmath for m_max <= 256, stays below
-m_max * eps.
+m_max * eps.  Synthesis, its adjoint and ``eval_poly_many`` make them one
+chunk of whole rings at a time (``_trig_chunks``) and use each chunk at
+once, so they hold no (points, 2m+1) table; only the whole basis rows
+(``basis_matrix``, ``_basis_rows``) take them for all points.
 """
 
 from __future__ import annotations
@@ -129,12 +132,12 @@ def normalized_legendre(m_max: int, theta: np.ndarray) -> np.ndarray:
     return q
 
 
-_TRIG_CHUNK = 512  # nodes per scratch block of ``_trig``
+_TRIG_CHUNK = 512  # points per scratch block of ``_trig`` and per chunk of ``_trig_chunks``
 
 
-def _trig(m_max: int, phis) -> np.ndarray:
+def _trig(m_max: int, phis, out=None) -> np.ndarray:
     """Azimuthal factors: column m_max + k holds cos(k phi) for k >= 0 and
-    sin(|k| phi) for k < 0.
+    sin(|k| phi) for k < 0 (written to out, if given).
 
     cos and sin are taken once per point; the orders k = 2..m_max follow by
     angle addition, doubling: orders k+1..min(2k, m_max) come from orders
@@ -146,7 +149,7 @@ def _trig(m_max: int, phis) -> np.ndarray:
     below m_max eps.
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    trig = np.empty((phis.size, 2 * m_max + 1))
+    trig = np.empty((phis.size, 2 * m_max + 1)) if out is None else out
     trig[:, m_max] = 1.0
     if m_max == 0:
         return trig
@@ -184,9 +187,36 @@ def _basis_transpose(m_max: int, steps, trig_t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _basis_rows(q, ring_of, trig) -> np.ndarray:
-    """Basis rows from ring factors: Q per ring, the ring of each point, trig."""
+def _trig_chunks(m_max: int, phis: np.ndarray, ring_of: np.ndarray, sqrt_w=None):
+    """Yield (nodes, ring, starts, rows) for the points in chunks of about
+    ``_TRIG_CHUNK``, each chunk a run of whole rings: the indices of its
+    points grouped by ring (stable, so points stored ring by ring keep their
+    order), the ring of each run, the position where each run starts in the
+    chunk, and the azimuthal factors ``_trig`` of its points (times sqrt_w,
+    if given).  A ring of more than ``_TRIG_CHUNK`` points is a chunk of its
+    own.  rows is one buffer, overwritten by the next chunk: use it before."""
+    nodes = np.argsort(ring_of, kind="stable")
+    counts = np.bincount(ring_of)
+    rings = np.flatnonzero(counts)
+    bounds = np.concatenate([[0], np.cumsum(counts[rings])])  # where each ring's run starts
+    buf = np.empty((min(nodes.size, max(_TRIG_CHUNK, counts.max(initial=0))), 2 * m_max + 1))
+    lo = 0  # index into rings
+    while lo < rings.size:
+        hi = max(lo + 1, int(np.searchsorted(bounds, bounds[lo] + _TRIG_CHUNK, "right")) - 1)
+        chunk = nodes[bounds[lo] : bounds[hi]]
+        rows = _trig(m_max, phis[chunk], out=buf[: chunk.size])
+        if sqrt_w is not None:
+            rows *= sqrt_w[chunk, None]
+        yield chunk, rings[lo:hi], bounds[lo:hi] - bounds[lo], rows
+        lo = hi
+
+
+def _basis_rows(q, ring_of, phis, sqrt_w) -> np.ndarray:
+    """Basis rows times sqrt_w from ring factors: Q per ring, the ring of
+    each point, the longitudes and sqrt_w."""
     m_max = q.shape[1] - 1
+    trig = _trig(m_max, phis)
+    trig *= sqrt_w[:, None]
     steps = (q[ring_of, m, : m + 1].T for m in range(m_max + 1))
     return _basis_transpose(m_max, steps, np.ascontiguousarray(trig.T)).T
 
@@ -216,34 +246,46 @@ def _order_sums(m_max: int, steps, coeffs: np.ndarray, rings: int) -> np.ndarray
     return a
 
 
-def _synthesis(q, ring_of, trig, coeffs: np.ndarray) -> np.ndarray:
+def _point_sums(a: np.ndarray, ring_of, phis, sqrt_w=None) -> np.ndarray:
+    """Each point's ring column of the order sums a times its azimuthal
+    factors (times sqrt_w), one ``_trig_chunks`` chunk at a time."""
+    out = np.empty(ring_of.size)
+    for nodes, _, _, rows in _trig_chunks(a.shape[0] // 2, phis, ring_of, sqrt_w):
+        out[nodes] = np.einsum("nk,nk->n", a.T[ring_of[nodes]], rows)
+    return out
+
+
+def _synthesis(q, ring_of, phis, sqrt_w, coeffs: np.ndarray) -> np.ndarray:
     """Values at the points of ring factors (see ``_basis_rows``): each
-    point sums its ring's ``_order_sums`` times its azimuthal factors."""
+    point sums its ring's ``_order_sums`` times its azimuthal factors, made
+    chunk by chunk (``_trig_chunks``); no (points, 2m+1) table is formed."""
     m_max = q.shape[1] - 1
     a = _order_sums(m_max, (q[:, m, : m + 1].T for m in range(m_max + 1)), coeffs, q.shape[0])
-    return np.einsum("nk,nk->n", a.T[ring_of], trig)
+    return _point_sums(a, ring_of, phis, sqrt_w)
 
 
-def _analysis(q, ring_of, trig, v: np.ndarray) -> np.ndarray:
+def _analysis(q, ring_of, phis, sqrt_w, v: np.ndarray) -> np.ndarray:
     """Adjoint of ``_synthesis``: sum_j v_j Y(x_j), the ring rows of ``_basis_rows``
     with the per-ring sums a[r, k] = sum_{j in r} v_j trig[j, k] for trig (each
-    a run of ``np.add.reduceat`` over the points grouped by ring), summed."""
-    order = np.argsort(ring_of, kind="stable")  # the identity for points stored ring by ring
-    grouped = ring_of[order]
-    starts = np.flatnonzero(np.diff(grouped, prepend=-1))
-    a = np.zeros((q.shape[0], trig.shape[1]))
-    a[grouped[starts]] = np.add.reduceat(trig[order] * v[order, None], starts)
-    return _basis_rows(q, np.arange(q.shape[0]), a).sum(axis=0)
+    a run of ``np.add.reduceat`` over one ring of a ``_trig_chunks`` chunk), summed."""
+    m_max = q.shape[1] - 1
+    a = np.zeros((q.shape[0], 2 * m_max + 1))
+    for nodes, ring, starts, rows in _trig_chunks(m_max, phis, ring_of, sqrt_w):
+        rows *= v[nodes, None]
+        a[ring] = np.add.reduceat(rows, starts)
+    steps = (q[:, m, : m + 1].T for m in range(m_max + 1))
+    return _basis_transpose(m_max, steps, np.ascontiguousarray(a.T)).T.sum(axis=0)
 
 
 def eval_poly_many(c: CoefficientVector, thetas, phis) -> np.ndarray:
     """Synthesis at many points, without forming the basis matrix: each
-    point sums its colatitude's ``_order_sums`` times its azimuthal factors.
-    Only elementwise operations and einsum are used, so the values do not
-    depend on the BLAS thread count."""
+    point sums its colatitude's ``_order_sums`` times its azimuthal factors,
+    made chunk by chunk (``_trig_chunks``), so the memory is O(points + chunk
+    * (2m+1)) beyond the order sums.  Only elementwise operations and einsum
+    are used, so the values do not depend on the BLAS thread count."""
     rings, ring_of = np.unique(np.atleast_1d(thetas), return_inverse=True)
     a = _order_sums(c.m_max, _legendre_steps(c.m_max, rings), c.coeffs, rings.size)
-    return np.einsum("nk,nk->n", a.T[ring_of], _trig(c.m_max, phis))
+    return _point_sums(a, ring_of, np.atleast_1d(np.asarray(phis, dtype=float)))
 
 
 def zonal_kernel(m: int, x: SpherePoint, y: SpherePoint) -> float:

@@ -23,11 +23,12 @@ the singular values of the same filter share it too.  The operator takes
 one of two paths, picked from the family.  On the ring path (every
 colatitude ring keeps its aliasing pattern and the rings are
 mirror-symmetric, as with area-center nodes) it forms neither B_w nor G
-whole: it holds the ring factors, applied by per-ring synthesis and
-analysis, and G as four blocks, cosine or sine side times the parity of
-n - |k|, built order pair by order pair; every solve and eigensolve then
-runs per block.  On the dense path (every other family) it holds B_w and
-G = B_w^T B_w as one block.
+whole: it holds the ring factors (O(N): Q per ring, the ring of each node,
+the longitudes and sqrt(tau)), applied by per-ring synthesis and analysis,
+which make the weighted azimuthal factors chunk by chunk, and G as four
+blocks, cosine or sine side times the parity of n - |k|, built order pair
+by order pair; every solve and eigensolve then runs per block.  On the
+dense path (every other family) it holds B_w and G = B_w^T B_w as one block.
 
 The SVD pseudoinverse of the filtered matrix, with relative cutoff 1e-12,
 runs instead when G is singular to half the working precision or when the
@@ -54,7 +55,7 @@ from .harmonics import (
     _analysis,
     _basis_rows,
     _synthesis,
-    _trig,
+    _trig_chunks,
     basis_matrix,
     normalized_legendre,
     num_coeffs,
@@ -90,7 +91,7 @@ class _Operator(NamedTuple):
     """The sampling operator B_w of one (family, degree) pair.
 
     On the ring path (``_operator``) it holds the ring factors (Q per ring,
-    the ring of each node, the sqrt(tau)-weighted azimuthal factors) in
+    the ring of each node, the longitudes, sqrt(tau): no (N, 2m+1) table) in
     rings and bw is None; on the dense path B_w itself in bw and rings is
     None.  G is held as its diagonal blocks (b, G[b, b]) over column index
     blocks b: the four parity classes on the ring path, one block on the
@@ -130,13 +131,14 @@ def _operator(fam: MzFamily, m: int) -> _Operator:
     of n - |k|.  G is built class block by class block, order pair by order
     pair, never whole; the Frobenius norms of the blocks P between the
     parities of one side are summed from those entries as they are made,
-    and P is never stored.
+    and P is never stored.  Each ring's T is taken from its rows of one
+    ``_trig_chunks`` chunk.
 
     Ring path: every colatitude holds >= 2 nodes, every ring keeps to its
     pattern and max ||P|| is below eps N trace G.  The operator holds the
-    ring factors and the four class blocks, and slack is the sum of the
-    ring remainders and max ||P|| (Weyl: it bounds the spectral norm of the
-    entries left out).  Dense path, every other family (scattered nodes):
+    ring factors (O(N)) and the four class blocks, and slack is the sum of
+    the ring remainders and max ||P|| (Weyl: it bounds the spectral norm of
+    the entries left out).  Dense path, every other family (scattered nodes):
     B_w and one block G = B_w^T B_w, slack 0.
 
     The family keeps the last degree's operator in its one slot, with
@@ -186,10 +188,7 @@ def _ring_operator(fam: MzFamily, m: int) -> Optional[_Operator]:
                                        return_counts=True)
     if counts.min() < 2:
         return None
-    order = np.argsort(ring_of, kind="stable")  # the identity for nodes stored ring by ring
-    starts = np.concatenate([[0], np.cumsum(counts)]).tolist()
-    trig = _trig(m, fam.nodes[:, 1])
-    trig *= np.sqrt(fam.weights)[:, None]
+    phis, sqrt_w = fam.nodes[:, 1], np.sqrt(fam.weights)
     q = normalized_legendre(m, colat)
     k = np.arange(-m, m + 1)
     abs_k = np.abs(k)
@@ -198,14 +197,16 @@ def _ring_operator(fam: MzFamily, m: int) -> Optional[_Operator]:
     same_side = (k >= 0)[:, None] == (k >= 0)
     patterns, slack = {}, 0.0
     diag, pairs = [], []  # per ring: c^2 diag T, kept j < j'
-    for i, ell in enumerate(counts.tolist()):
+    rings = (ring for _, _, starts, rows in _trig_chunks(m, phis, ring_of, sqrt_w)
+             for ring in np.split(rows, starts[1:]))  # the weighted trig of each ring in turn
+    for i, t in enumerate(rings):
+        ell = t.shape[0]
         period = min(ell, 2 * m + 1)  # beyond 2m nodes the pattern is the diagonal
         if period not in patterns:
             keep = same_side & (((abs_k[:, None] - abs_k) % period == 0)
                                 | ((abs_k[:, None] + abs_k) % period == 0))
             patterns[period] = keep, np.nonzero(np.triu(keep, 1))
         keep, (j, jj) = patterns[period]
-        t = trig[order[starts[i]:starts[i + 1]]]
         gram_t = t.T @ t.copy()  # GEMM: numpy sends t.T @ t to SYRK, erratic at 2 threads
         off = np.where(keep, 0.0, gram_t)
         if np.max(np.abs(off)) > (2 * m + 1) * ell * eps * gram_t.diagonal().max():
@@ -218,7 +219,7 @@ def _ring_operator(fam: MzFamily, m: int) -> Optional[_Operator]:
     if classes is None:
         return None
     blocks, between = classes
-    return _Operator(m, None, (q, ring_of, trig), blocks, slack + between)
+    return _Operator(m, None, (q, ring_of, phis, sqrt_w), blocks, slack + between)
 
 
 def _class_blocks(m: int, q: np.ndarray, diag: np.ndarray, pairs: tuple, eps_n: float):
@@ -290,7 +291,8 @@ def _adjoint(op: _Operator, v: np.ndarray) -> np.ndarray:
 
 
 def _rows(op: _Operator) -> np.ndarray:
-    """B_w itself, for the SVD and the design matrix."""
+    """B_w itself, for the SVD and the design matrix (on the ring path built
+    whole from the ring factors, its one (N, 2m+1) table of azimuthal factors)."""
     return op.bw if op.rings is None else _basis_rows(*op.rings)
 
 

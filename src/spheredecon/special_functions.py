@@ -51,6 +51,19 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
+def _jacobi_coefficients(m_max: int, params: JacobiParams):
+    """Yield (a1, a2, a3, a4) of the three-term recurrence for n = 1..m_max-1:
+    a1 P_{n+1} = (a3 x + a2) P_n - a4 P_{n-1}."""
+    a, b = params.a, params.b
+    for n in range(1, m_max):
+        # 2(n+1)(n+a+b+1)(2n+a+b) P_{n+1} =
+        #   (2n+a+b+1)[(2n+a+b+2)(2n+a+b) x + a^2-b^2] P_n
+        #   - 2(n+a)(n+b)(2n+a+b+2) P_{n-1}
+        c = 2 * n + a + b
+        yield (2 * (n + 1) * (n + a + b + 1) * c, (c + 1) * (a * a - b * b),
+               (c + 1) * (c + 2) * c, 2 * (n + a) * (n + b) * (c + 2))
+
+
 def _jacobi_steps(m_max: int, params: JacobiParams, x):
     """Yield P_0^{a,b}(x) .. P_{m_max}^{a,b}(x) in turn by the three-term
     recurrence, stable on [-1, 1].  Three buffers rotate: use each degree
@@ -63,15 +76,7 @@ def _jacobi_steps(m_max: int, params: JacobiParams, x):
         return
     np.add(0.5 * (a + b + 2) * x, 0.5 * (a - b), out=cur)
     yield cur
-    for n in range(1, m_max):
-        # 2(n+1)(n+a+b+1)(2n+a+b) P_{n+1} =
-        #   (2n+a+b+1)[(2n+a+b+2)(2n+a+b) x + a^2-b^2] P_n
-        #   - 2(n+a)(n+b)(2n+a+b+2) P_{n-1}
-        c = 2 * n + a + b
-        a1 = 2 * (n + 1) * (n + a + b + 1) * c
-        a2 = (c + 1) * (a * a - b * b)
-        a3 = (c + 1) * (c + 2) * c
-        a4 = 2 * (n + a) * (n + b) * (c + 2)
+    for a1, a2, a3, a4 in _jacobi_coefficients(m_max, params):
         np.multiply(a3, x, out=new)
         new += a2
         new *= cur
@@ -86,10 +91,17 @@ def jacobi_all(m_max: int, params: JacobiParams, x):
     """All Jacobi polynomial values P_0^{a,b}(x) .. P_{m_max}^{a,b}(x) (``_jacobi_steps``).
 
     ``x`` may be a scalar or an ndarray; the result has shape (m_max+1,) + shape(x).
+    A scalar x is stepped in Python floats, with the same operations.
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    return np.array([p.copy() for p in _jacobi_steps(m_max, params, x)])
+    if np.ndim(x) > 0:
+        return np.array([p.copy() for p in _jacobi_steps(m_max, params, x)])
+    a, b, x = params.a, params.b, float(x)
+    p = [1.0, 0.5 * (a + b + 2) * x + 0.5 * (a - b)]
+    for a1, a2, a3, a4 in _jacobi_coefficients(m_max, params):
+        p.append(((a3 * x + a2) * p[-1] - p[-2] * a4) / a1)
+    return np.array(p[: m_max + 1])
 
 
 def jacobi(m: int, params: JacobiParams, x):

@@ -1,7 +1,10 @@
-"""Shared test oracles: quadrature grids, random points on the sphere and
-integrands of the adaptive quadrature."""
+"""Shared test oracles: quadrature grids, random points on the sphere,
+integrands of the adaptive quadrature and the whole-table synthesis and
+analysis of ring factors."""
 
 import numpy as np
+
+from spheredecon.harmonics import _basis_transpose, _order_sums
 
 
 def product_quadrature_grid(n_theta: int = 48, n_phi: int = 96):
@@ -31,3 +34,26 @@ def weighted(f):
     """The integrand of ``adaptive_quadrature`` for a pointwise function f:
     the weighted sum of its values (k sums when f returns (k, points))."""
     return lambda r, w: np.sum(w * f(r), axis=-1)
+
+
+def whole_table_synthesis(q, ring_of, trig, coeffs):
+    """The synthesis of ring factors over the whole (points, 2m+1) table of
+    weighted azimuthal factors: each point's ring order sums, gathered for
+    every point at once, times its row of trig."""
+    m_max = q.shape[1] - 1
+    a = _order_sums(m_max, (q[:, m, : m + 1].T for m in range(m_max + 1)), coeffs, q.shape[0])
+    return np.einsum("nk,nk->n", a.T[ring_of], trig)
+
+
+def whole_table_analysis(q, ring_of, trig, v):
+    """The adjoint of ``whole_table_synthesis``: the table reordered by ring
+    and scaled by v, summed per ring by one ``np.add.reduceat``, then the ring
+    rows of the basis summed."""
+    m_max = q.shape[1] - 1
+    order = np.argsort(ring_of, kind="stable")
+    grouped = ring_of[order]
+    starts = np.flatnonzero(np.diff(grouped, prepend=-1))
+    a = np.zeros((q.shape[0], trig.shape[1]))
+    a[grouped[starts]] = np.add.reduceat(trig[order] * v[order, None], starts)
+    steps = (q[:, m, : m + 1].T for m in range(m_max + 1))
+    return _basis_transpose(m_max, steps, np.ascontiguousarray(a.T)).T.sum(axis=0)

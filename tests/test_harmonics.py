@@ -10,13 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import lpmv
 
-from conftest import product_quadrature_grid, random_sphere_points
+from conftest import (
+    product_quadrature_grid,
+    random_sphere_points,
+    whole_table_analysis,
+    whole_table_synthesis,
+)
 from spheredecon.harmonics import (
     _TRIG_CHUNK,
     CoefficientVector,
     _analysis,
     _basis_rows,
+    _basis_transpose,
+    _synthesis,
     _trig,
+    _trig_chunks,
     basis_matrix,
     block_slice,
     coeffs_from_json,
@@ -211,17 +219,20 @@ def _polar_points():
     return np.array([0.0, math.pi, 0.0, 1.1, math.pi]), np.array([0.0, 0.0, 2.5, 0.4, 5.9])
 
 
-def ring_factors(m, thetas, phis):
-    """Q per distinct colatitude (ring), the ring of each point and the
-    azimuthal factors: the operands of the ring path's rows, synthesis and
-    analysis."""
-    rings, ring_of = np.unique(np.asarray(thetas, dtype=float), return_inverse=True)
-    return normalized_legendre(m, rings), ring_of, _trig(m, phis)
+def ring_factors(m, thetas, phis, sqrt_w=None):
+    """Q per distinct colatitude (ring), the ring of each point, the
+    longitudes and the square-root weights (1 if not given): the operands of
+    the ring path's rows, synthesis and analysis."""
+    thetas = np.asarray(thetas, dtype=float)
+    rings, ring_of = np.unique(thetas, return_inverse=True)
+    sqrt_w = np.ones(thetas.size) if sqrt_w is None else sqrt_w
+    return normalized_legendre(m, rings), ring_of, np.asarray(phis, dtype=float), sqrt_w
 
 
 def tensor_route(m, thetas, phis):
     """Basis rows gathered from the whole Q tensor of ``normalized_legendre``."""
-    q, ring_of, trig = ring_factors(m, thetas, phis)
+    q, ring_of, phis, _ = ring_factors(m, thetas, phis)
+    trig = _trig(m, phis)
     out = np.empty((ring_of.size, num_coeffs(m)))
     for n in range(m + 1):
         factor = math.sqrt(2.0) * q[ring_of, n][:, np.abs(np.arange(-n, n + 1))]
@@ -300,6 +311,99 @@ class TestMatrixFreeSynthesis:
         dense = basis_matrix(c.m_max, thetas, phis).T @ v
         tol = 1e-13 * np.sum(np.abs(v)) * math.sqrt(2 * c.m_max + 1)
         assert np.max(np.abs(_analysis(*ring_factors(c.m_max, thetas, phis), v) - dense)) <= tol
+
+
+def _area_center_1800():
+    """Area-center nodes, stored ring by ring."""
+    return nodes_to_arrays(pick_nodes(build_partition(1800)).nodes)
+
+
+def _shuffled_area_center():
+    thetas, phis = _area_center_1800()
+    perm = np.random.default_rng(5).permutation(thetas.size)
+    return thetas[perm], phis[perm]
+
+
+def _random_600():
+    return nodes_to_arrays(pick_nodes(build_partition(600), rule="random_in_region", seed=4).nodes)
+
+
+def _long_rings():
+    """Rings of 300, 400, 700 and 2 points at random longitudes, stored ring
+    by ring: the second straddles point 512, the third is longer than a chunk."""
+    sizes = [300, 400, 700, 2]
+    thetas = np.repeat([1.0, 0.4, 1.6, math.pi], sizes)
+    return thetas, np.random.default_rng(6).uniform(0.0, 2 * math.pi, sum(sizes))
+
+
+_CHUNKED = [_area_center_1800, _shuffled_area_center, _random_600, _polar_points, _long_rings]
+_CHUNKED_IDS = ["area_center", "shuffled", "random_in_region", "poles", "long_rings"]
+
+
+def ring_runs(thetas):
+    """(start, end) of each run of equal colatitudes in storage order."""
+    edges = np.flatnonzero(np.diff(thetas)) + 1
+    return list(zip([0, *edges.tolist()], [*edges.tolist(), thetas.size]))
+
+
+class TestTrigChunks:
+    def test_families_hold_the_edge_cases(self):
+        assert 300 < _TRIG_CHUNK < 700
+        assert any(lo < _TRIG_CHUNK < hi for lo, hi in ring_runs(_area_center_1800()[0]))
+        assert [hi - lo for lo, hi in ring_runs(_long_rings()[0])] == [300, 400, 700, 2]
+
+    @pytest.mark.parametrize("points", _CHUNKED, ids=_CHUNKED_IDS)
+    def test_chunks_are_runs_of_whole_rings(self, points):
+        thetas, phis = points()
+        _, ring_of = np.unique(thetas, return_inverse=True)
+        sqrt_w = np.random.default_rng(7).uniform(0.5, 1.5, thetas.size)
+        seen = []
+        for nodes, ring, starts, rows in _trig_chunks(5, phis, ring_of, sqrt_w):
+            # a chunk holds at most _TRIG_CHUNK points, or one longer ring
+            assert nodes.size <= _TRIG_CHUNK or ring.size == 1
+            for r, lo, hi in zip(ring, starts, [*starts[1:], nodes.size]):
+                assert np.array_equal(nodes[lo:hi], np.flatnonzero(ring_of == r))
+            assert np.array_equal(rows, _trig(5, phis[nodes]) * sqrt_w[nodes, None])
+            seen.extend(ring.tolist())
+        assert seen == list(range(ring_of.max() + 1))
+
+
+class TestStreamedSynthesis:
+    """Synthesis and analysis chunk by chunk, against the whole-table route."""
+
+    @pytest.mark.parametrize("points", _CHUNKED, ids=_CHUNKED_IDS)
+    @pytest.mark.parametrize("m", [0, 1, 2, 16, 32])
+    def test_bitwise_equal_to_the_whole_table(self, points, m):
+        thetas, phis = points()
+        rng = np.random.default_rng(m)
+        sqrt_w = np.sqrt(rng.uniform(0.5, 1.5, thetas.size) / thetas.size)
+        q, ring_of, phis, sqrt_w = ring_factors(m, thetas, phis, sqrt_w)
+        trig = _trig(m, phis)
+        d = rng.standard_normal(num_coeffs(m))
+        assert np.array_equal(eval_poly_many(CoefficientVector(m, d), thetas, phis),
+                              whole_table_synthesis(q, ring_of, trig, d))
+        trig *= sqrt_w[:, None]
+        v = rng.standard_normal(thetas.size)
+        assert np.array_equal(_synthesis(q, ring_of, phis, sqrt_w, d),
+                              whole_table_synthesis(q, ring_of, trig, d))
+        assert np.array_equal(_analysis(q, ring_of, phis, sqrt_w, v),
+                              whole_table_analysis(q, ring_of, trig, v))
+        steps = (q[ring_of, n, : n + 1].T for n in range(m + 1))
+        assert np.array_equal(_basis_rows(q, ring_of, phis, sqrt_w),
+                              _basis_transpose(m, steps, np.ascontiguousarray(trig.T)).T)
+
+    def test_eval_poly_many_holds_no_table(self):
+        thetas, phis = nodes_to_arrays(pick_nodes(build_partition(16900)).nodes)
+        c = random_poly(24, 1.0, seed=1)
+        eval_poly_many(c, thetas[:600], phis[:600])  # first-call allocations
+        tracemalloc.start()
+        try:
+            eval_poly_many(c, thetas, phis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (N, 2m+1) table of azimuthal factors alone would take 6.6 MB
+        assert peak <= 2e6
 
 
 def basis_at(m, ell, theta, phi):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import product_quadrature_grid, whole_table_analysis, whole_table_synthesis
 from spheredecon.filters import MultiplierFilter, cap_multipliers, identity_multipliers
 from spheredecon.forward import add_noise, sample_at, simulate
 from spheredecon.harmonics import (
@@ -572,8 +573,10 @@ class TestRingOperator:
         # the polar rings alias at degree 16 (25 <= 32 nodes) and are held by
         # their aliasing pattern, the others by the diagonal: the ring path
         assert op.bw is None
-        q, ring_of, trig = op.rings
-        assert q.shape[0] == np.unique(fam.nodes[:, 0]).size and trig.shape == (1600, 33)
+        q, ring_of, phis, sqrt_w = op.rings
+        assert q.shape[0] == np.unique(fam.nodes[:, 0]).size
+        np.testing.assert_array_equal(phis, fam.nodes[:, 1])
+        np.testing.assert_array_equal(sqrt_w, np.sqrt(fam.weights))
         np.testing.assert_array_equal(np.unique(fam.nodes[:, 0])[ring_of], fam.nodes[:, 0])
         classes = parity_classes(16)
         assert [b.size for b in classes] == [81, 72, 72, 64]
@@ -704,3 +707,104 @@ class TestRingOperator:
         coeffs[cols] = d[cols] / scale
         assert np.array_equal(report.solution.coeffs, coeffs)
         assert report.residual == float(np.linalg.norm(bw @ d - ytil))
+
+
+def whole_table_ring_operator(fam, m):
+    """The ring path of ``_operator`` over the whole (N, 2m+1) table of
+    weighted azimuthal factors, each ring's rows gathered from it for its
+    trig Gram; the operator holds (Q per ring, the ring of each node, the
+    table), or None where the family leaves the ring path."""
+    eps = np.finfo(float).eps
+    colat, ring_of, counts = np.unique(fam.nodes[:, 0], return_inverse=True, return_counts=True)
+    if counts.min() < 2:
+        return None
+    order = np.argsort(ring_of, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(counts)]).tolist()
+    trig = _trig(m, fam.nodes[:, 1])
+    trig *= np.sqrt(fam.weights)[:, None]
+    q = normalized_legendre(m, colat)
+    k = np.arange(-m, m + 1)
+    abs_k = np.abs(k)
+    c = np.where(abs_k > 0, math.sqrt(2.0), 1.0)
+    col = c * np.sqrt(np.sum(q**2, axis=1))[:, abs_k]
+    same_side = (k >= 0)[:, None] == (k >= 0)
+    slack, diag, pairs = 0.0, [], []
+    for i, ell in enumerate(counts.tolist()):
+        period = min(ell, 2 * m + 1)
+        keep = same_side & (((abs_k[:, None] - abs_k) % period == 0)
+                            | ((abs_k[:, None] + abs_k) % period == 0))
+        j, jj = np.nonzero(np.triu(keep, 1))
+        t = trig[order[starts[i]:starts[i + 1]]]
+        gram_t = t.T @ t.copy()
+        off = np.where(keep, 0.0, gram_t)
+        if np.max(np.abs(off)) > (2 * m + 1) * ell * eps * gram_t.diagonal().max():
+            return None
+        slack += float(np.linalg.norm(off * np.outer(col[i], col[i])))
+        pairs.append((np.full(j.size, i), j, jj, c[j] * gram_t[j, jj] * c[jj]))
+        diag.append(c * c * gram_t.diagonal())
+    pairs = tuple(np.concatenate(x) for x in zip(*pairs))
+    classes = reconstruct._class_blocks(m, q, np.array(diag), pairs, eps * len(fam.nodes))
+    if classes is None:
+        return None
+    blocks, between = classes
+    return reconstruct._Operator(m, None, (q, ring_of, trig), blocks, slack + between)
+
+
+def chunk_families(kind):
+    """Area-center nodes stored ring by ring (one ring straddles node 512) or
+    shuffled, a Gauss-Legendre product grid of 600-node rings (longer than a
+    chunk), or area-center nodes plus a polar pair."""
+    base = pick_nodes(build_partition(1800))
+    if kind == "shuffled":
+        perm = np.random.default_rng(9).permutation(len(base.nodes))
+        return MzFamily(nodes=base.nodes[perm], weights=base.weights[perm])
+    if kind == "long_rings":
+        thetas, phis, weights = product_quadrature_grid(18, 600)
+        return MzFamily(nodes=np.c_[thetas, phis], weights=weights)
+    return with_pole_pair(base) if kind == "pole_pair" else base
+
+
+class TestStreamedRingPath:
+    """The ring path makes the weighted azimuthal factors chunk by chunk."""
+
+    @pytest.mark.parametrize("kind", ["area_center", "shuffled", "long_rings", "pole_pair"])
+    @pytest.mark.parametrize("m", [0, 1, 2, 16, 32])
+    def test_bitwise_equal_to_the_whole_table(self, kind, m):
+        fam = chunk_families(kind)
+        ref = whole_table_ring_operator(fam, m)
+        op = _operator(fam, m)
+        # off degree 0 the polar pair breaks its ring's pattern: the dense path
+        assert (ref is None) == (kind == "pole_pair" and m > 0) == (op.rings is None)
+        if ref is None:
+            return
+        for (b, g), (b_ref, g_ref) in zip(op.blocks, ref.blocks, strict=True):
+            assert np.array_equal(b, b_ref) and np.array_equal(g, g_ref)
+        assert op.slack == ref.slack
+        # A, B and epsilon of the reference operator, held in a twin family's slot
+        twin = MzFamily(nodes=fam.nodes, weights=fam.weights)
+        object.__setattr__(twin, "_operator", ref)
+        assert mz_constants(twin, m) == mz_constants(fam, m)
+        q, ring_of, trig = ref.rings
+        rng = np.random.default_rng(m)
+        d, v = rng.standard_normal(num_coeffs(m)), rng.standard_normal(len(fam.nodes))
+        assert np.array_equal(reconstruct._apply(op, d), whole_table_synthesis(q, ring_of, trig, d))
+        assert np.array_equal(reconstruct._adjoint(op, v),
+                              whole_table_analysis(q, ring_of, trig, v))
+
+    def test_build_apply_and_adjoint_hold_no_trig_table(self):
+        fam = pick_nodes(build_partition(16900))
+        m = 16
+        table = len(fam.nodes) * (2 * m + 1)  # entries of the whole weighted trig
+        _operator(pick_nodes(build_partition(50)), 2)  # first-call allocations
+        rng = np.random.default_rng(10)
+        d, v = rng.standard_normal(num_coeffs(m)), rng.standard_normal(len(fam.nodes))
+        tracemalloc.start()
+        try:
+            op = _operator(fam, m)
+            reconstruct._adjoint(op, v)
+            reconstruct._apply(op, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.bw is None and all(arr.size != table for arr in op.rings)
+        assert peak < table * 8 / 3

@@ -323,3 +323,12 @@ class TestStreamedRecurrence:
         xs = np.cos(np.random.default_rng(m_max).uniform(0.0, math.pi, 50))
         assert np.array_equal(jacobi_all(m_max, params, xs), table_recurrence(m_max, params, xs))
         assert np.array_equal(jacobi_all(m_max, params, 0.3), table_recurrence(m_max, params, 0.3))
+
+    @pytest.mark.parametrize("params", [S2, JacobiParams(1, 1), JacobiParams(0.5, -0.5)])
+    @pytest.mark.parametrize("m_max", [0, 1, 2, 400])
+    def test_scalar_equals_one_element_array(self, m_max, params):
+        # a scalar is stepped in Python floats, an array in place by numpy
+        for x in (-1.0, -0.3, 0.0, math.cos(0.15), 1.0, np.float64(0.6)):
+            vals = jacobi_all(m_max, params, x)
+            assert vals.shape == (m_max + 1,)
+            assert np.array_equal(vals, jacobi_all(m_max, params, np.array([x]))[:, 0])

@@ -1,6 +1,6 @@
-"""The measurement CSV, the basis matrix, synthesis and the lunar filter
-JSON do not depend on the BLAS thread count: all are built from elementwise
-numpy operations and einsum.
+"""The measurement CSV, the basis matrix, synthesis, the ring path's
+synthesis and analysis and the lunar filter JSON do not depend on the BLAS
+thread count: all are built from elementwise numpy operations and einsum.
 
 Each count runs in a fresh interpreter, since OpenBLAS reads
 OPENBLAS_NUM_THREADS once, when numpy is first imported.
@@ -18,10 +18,12 @@ REPO = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
 import hashlib, json, sys
+import numpy as np
 from spheredecon import cli
 from spheredecon.filters import cap_multipliers
 from spheredecon.forward import simulate, write_measurements_csv
-from spheredecon.harmonics import basis_matrix, eval_poly_many, random_poly
+from spheredecon.harmonics import basis_matrix, eval_poly_many, num_coeffs, random_poly
+from spheredecon.reconstruct import _adjoint, _apply, _operator
 from spheredecon.sphere_geometry import build_partition, pick_nodes
 
 rule = sys.argv[1]
@@ -30,12 +32,17 @@ truth = random_poly(40, 2.0, seed=5)
 write_measurements_csv("meas.csv", simulate(truth, cap_multipliers(0.2, 40), fam, 0.01, seed=6))
 cli.main(["filter", "--kind", "lunar", "--radius", "1737.1", "--altitude", "30", "--m-max", "200",
           "--gamma", "1.5", "--out", "lunar.json"])
+ring_op = _operator(pick_nodes(build_partition(1800)), 24)  # the ring path
+rng = np.random.default_rng(8)
+v, d = rng.standard_normal(1800), rng.standard_normal(num_coeffs(24))
 digest = lambda data: hashlib.sha256(data).hexdigest()
 print(json.dumps({
     "simulate_csv": digest(open("meas.csv", "rb").read()),
     "basis_matrix": digest(basis_matrix(24, fam.nodes[:, 0], fam.nodes[:, 1]).tobytes()),
     "eval_poly_many": digest(eval_poly_many(truth, fam.nodes[:, 0], fam.nodes[:, 1]).tobytes()),
     "lunar_filter_json": digest(open("lunar.json", "rb").read()),
+    "ring_adjoint": digest(_adjoint(ring_op, v).tobytes()),
+    "ring_apply": digest(_apply(ring_op, d).tobytes()),
 }))
 """
 
