@@ -12,11 +12,8 @@ from .special_functions import (
     JacobiParams,
     QuadratureError,
     adaptive_quadrature,
-    delta_m,
-    jacobi,
     jacobi_all,
     jacobi_at_one,
-    lambda_sq,
     radial_density,
 )
 from .sphere_geometry import (
@@ -26,7 +23,6 @@ from .sphere_geometry import (
     SpherePoint,
     build_partition,
     build_rounding_sequence,
-    geodesic_distance,
     pick_nodes,
     region_measure,
 )
@@ -35,10 +31,8 @@ from .harmonics import (
     basis_matrix,
     eval_poly_many,
     embed,
-    project,
     random_poly,
     sobolev_norm,
-    zonal_kernel,
 )
 from .filters import (
     CapProfile,

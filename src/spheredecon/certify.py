@@ -91,15 +91,18 @@ def mz_constants(fam: MzFamily, m: int) -> MzConstants:
     )
 
 
+_MAX_DOUBLINGS = 16
+
+
 def find_family_size(
     m: int,
     eps_target: float = 0.5,
     rule: str = "area_center",
     seed: Optional[int] = None,
     start_n: Optional[int] = None,
-    max_doublings: int = 16,
 ) -> tuple[EqualAreaPartition, MzFamily, MzConstants, list]:
-    """Double the partition size until the measured epsilon meets the target.
+    """Double the partition size until the measured epsilon meets the target,
+    at most ``_MAX_DOUBLINGS`` times.
 
     The needed size exists but its constant is not known a priori, so the
     search is empirical.  Returns the partition, the family, its measured
@@ -109,7 +112,7 @@ def find_family_size(
         raise ValueError("eps_target must be in (0, 1)")
     n = max(50, num_coeffs(m)) if start_n is None else max(50, start_n)
     history = []
-    for _ in range(max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         partition = build_partition(n)
         fam = pick_nodes(partition, rule=rule, seed=seed)
         const = mz_constants(fam, m)
@@ -119,7 +122,7 @@ def find_family_size(
         n *= 2
     raise RuntimeError(
         f"epsilon target {eps_target} not reached for degree {m} within "
-        f"{max_doublings} doublings (last: N={history[-1][0]}, eps={history[-1][1]:.3g})"
+        f"{_MAX_DOUBLINGS} doublings (last: N={history[-1][0]}, eps={history[-1][1]:.3g})"
     )
 
 

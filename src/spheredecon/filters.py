@@ -333,16 +333,17 @@ def fit_lower(filt: MultiplierFilter, zeta: float) -> float:
     return float(np.min(np.abs(filt.b) * lam ** (zeta / 2)))
 
 
-def radial_laplacian(profile: RadialProfile, grid_size: int = 8193) -> TabulatedProfile:
-    """Radial Laplace-Beltrami of a smooth profile: (1/A) (A g')' tabulated.
+def radial_laplacian(profile: RadialProfile) -> TabulatedProfile:
+    """Radial Laplace-Beltrami of a smooth profile: (1/A) (A g')' tabulated
+    on 8193 uniform points of [0, pi].
 
-    Derivatives use fourth-order stencils on a uniform grid (one-sided near
-    the ends); the endpoint values are quadratic extrapolations, since the
-    cotangent factor in (1/A)(A g')' = g'' + (A'/A) g' is singular there.
+    Derivatives use fourth-order stencils (one-sided near the ends); the
+    endpoint values are quadratic extrapolations, since the cotangent factor
+    in (1/A)(A g')' = g'' + (A'/A) g' is singular there.
     """
     if not getattr(profile, "supports_laplacian", False):
         raise ValueError("radial laplacian needs a smooth built-in profile")
-    r = np.linspace(0.0, math.pi, grid_size)
+    r = np.linspace(0.0, math.pi, 8193)
     h = r[1] - r[0]
     g = profile.evaluate(r)
     d1 = _stencil_derivative(g, h, order=1)

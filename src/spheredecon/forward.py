@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .filters import MultiplierFilter
-from .harmonics import CoefficientVector, block_slice, eval_poly_many
+from .harmonics import CoefficientVector, _degrees, eval_poly_many
 from .sphere_geometry import MzFamily, check_nodes, check_weights
 
 __all__ = [
@@ -63,10 +63,7 @@ def apply_multiplier(filt: MultiplierFilter, c: CoefficientVector) -> Coefficien
         raise ValueError(
             f"filter stores degrees up to {filt.m_max} but coefficients reach {c.m_max}"
         )
-    out = c.coeffs.copy()
-    for m in range(c.m_max + 1):
-        out[block_slice(m)] *= filt.b[m]
-    return CoefficientVector(c.m_max, out)
+    return CoefficientVector(c.m_max, c.coeffs * filt.b[_degrees(c.m_max)])
 
 
 def sample_at(c: CoefficientVector, nodes: np.ndarray) -> np.ndarray:

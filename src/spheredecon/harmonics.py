@@ -31,9 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import JacobiParams, jacobi_all
-from .sphere_geometry import SpherePoint, geodesic_distance
-
 __all__ = [
     "CoefficientVector",
     "num_coeffs",
@@ -42,17 +39,13 @@ __all__ = [
     "normalized_legendre",
     "basis_matrix",
     "eval_poly_many",
-    "zonal_kernel",
     "sobolev_norm",
     "sobolev_weights",
-    "project",
     "embed",
     "random_poly",
     "coeffs_to_json",
     "coeffs_from_json",
 ]
-
-_S2 = JacobiParams.sphere(2)
 
 
 def num_coeffs(m_max: int) -> int:
@@ -62,6 +55,11 @@ def num_coeffs(m_max: int) -> int:
 def block_slice(m: int) -> slice:
     """Slice of the degree-m coefficient block."""
     return slice(m * m, (m + 1) * (m + 1))
+
+
+def _degrees(m_max: int) -> np.ndarray:
+    """The degree m of every coefficient, degree-major: m repeated 2m+1 times."""
+    return np.repeat(np.arange(m_max + 1), 2 * np.arange(m_max + 1) + 1)
 
 
 def index_of(m: int, ell: int) -> int:
@@ -288,17 +286,9 @@ def eval_poly_many(c: CoefficientVector, thetas, phis) -> np.ndarray:
     return _point_sums(a, ring_of, np.atleast_1d(np.asarray(phis, dtype=float)))
 
 
-def zonal_kernel(m: int, x: SpherePoint, y: SpherePoint) -> float:
-    """(2m+1) P_m(cos rho(x, y)): the reproducing kernel of degree m."""
-    if m < 0:
-        raise ValueError("degree must be >= 0")
-    rho = geodesic_distance(x, y)
-    return float((2 * m + 1) * jacobi_all(m, _S2, math.cos(rho))[m])
-
-
 def sobolev_weights(m_max: int, sigma: float) -> np.ndarray:
     """Per-coefficient weights (1 + m(m+1))^sigma in the degree-major layout."""
-    degrees = np.repeat(np.arange(m_max + 1), 2 * np.arange(m_max + 1) + 1)
+    degrees = _degrees(m_max)
     return (1.0 + degrees * (degrees + 1.0)) ** sigma
 
 
@@ -307,15 +297,6 @@ def sobolev_norm(c: CoefficientVector, sigma: float) -> float:
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     return float(np.sqrt(np.sum(c.coeffs**2 * sobolev_weights(c.m_max, sigma))))
-
-
-def project(c: CoefficientVector, m: int) -> CoefficientVector:
-    """Orthogonal projection onto the degree-m eigenspace."""
-    if not (0 <= m <= c.m_max):
-        raise ValueError(f"degree {m} out of range 0..{c.m_max}")
-    out = np.zeros_like(c.coeffs)
-    out[block_slice(m)] = c.block(m)
-    return CoefficientVector(c.m_max, out)
 
 
 def embed(c: CoefficientVector, m_max: int) -> CoefficientVector:

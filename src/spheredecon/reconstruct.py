@@ -54,6 +54,7 @@ from .harmonics import (
     CoefficientVector,
     _analysis,
     _basis_rows,
+    _degrees,
     _synthesis,
     _trig_chunks,
     basis_matrix,
@@ -304,7 +305,7 @@ def _column_multipliers(filt: MultiplierFilter, fam: MzFamily, m: int) -> np.nda
         raise ValueError(f"filter stores degrees up to {filt.m_max}, requested {m}")
     if len(fam.nodes) == 0:
         raise ValueError("empty sampling family")
-    bcol = np.repeat(filt.b[: m + 1], 2 * np.arange(m + 1) + 1)
+    bcol = filt.b[_degrees(m)]
     if not np.any(bcol):
         raise ValueError("all multipliers vanish up to the requested degree")
     return bcol

@@ -1,4 +1,4 @@
-"""Jacobi polynomials, eigenspace dimensions, radial densities and quadrature.
+"""Jacobi polynomials, radial densities and quadrature.
 
 Everything here is parameterized by a Jacobi pair (a, b).  On the
 two-dimensional sphere a = b = 0 and the Jacobi polynomials reduce to the
@@ -18,11 +18,8 @@ import numpy as np
 __all__ = [
     "JacobiParams",
     "QuadratureError",
-    "jacobi",
     "jacobi_all",
     "jacobi_at_one",
-    "delta_m",
-    "lambda_sq",
     "radial_density",
     "adaptive_quadrature",
 ]
@@ -104,49 +101,12 @@ def jacobi_all(m_max: int, params: JacobiParams, x):
     return np.array(p[: m_max + 1])
 
 
-def jacobi(m: int, params: JacobiParams, x):
-    """Jacobi polynomial P_m^{a,b}(x) by the three-term recurrence."""
-    return jacobi_all(m, params, x)[m]
-
-
 def jacobi_at_one(m: int, params: JacobiParams) -> float:
     """P_m^{a,b}(1) = Gamma(m+a+1) / (Gamma(m+1) Gamma(a+1)), via log-gamma."""
     if m < 0:
         raise ValueError("degree must be >= 0")
     a = params.a
     return float(np.exp(math.lgamma(m + a + 1) - math.lgamma(m + 1) - math.lgamma(a + 1)))
-
-
-def lambda_sq(m: int, params: JacobiParams) -> float:
-    """Laplace-Beltrami eigenvalue m(m + a + b + 1) for degree m."""
-    if m < 0:
-        raise ValueError("degree must be >= 0")
-    return float(m * (m + params.a + params.b + 1))
-
-
-def delta_m(m: int, params: JacobiParams) -> float:
-    """Dimension of the degree-m eigenspace.
-
-    delta_m = (2m+a+b+1) * G(b+1)/(G(a+1)G(a+b+2))
-              * G(m+a+b+1)/G(m+b+1) * G(m+a+1)/G(m+1),
-    with the m = 0 convention (2m+a+b+1)G(m+a+b+1) -> G(a+b+2), which gives
-    delta_0 = 1.  On S^2 this reduces to 2m+1.
-    """
-    if m < 0:
-        raise ValueError("degree must be >= 0")
-    a, b = params.a, params.b
-    if m == 0:
-        return 1.0
-    log = (
-        math.lgamma(b + 1)
-        - math.lgamma(a + 1)
-        - math.lgamma(a + b + 2)
-        + math.lgamma(m + a + b + 1)
-        - math.lgamma(m + b + 1)
-        + math.lgamma(m + a + 1)
-        - math.lgamma(m + 1)
-    )
-    return float((2 * m + a + b + 1) * np.exp(log))
 
 
 def radial_density(r, params: JacobiParams):

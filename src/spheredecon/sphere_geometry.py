@@ -22,7 +22,6 @@ __all__ = [
     "Region",
     "EqualAreaPartition",
     "MzFamily",
-    "geodesic_distance",
     "build_rounding_sequence",
     "build_partition",
     "region_measure",
@@ -48,21 +47,6 @@ class SpherePoint:
             raise ValueError(f"theta must be in [0, pi], got {self.theta}")
         if not (0.0 <= self.phi < 2.0 * math.pi):
             raise ValueError(f"phi must be in [0, 2*pi), got {self.phi}")
-
-    def unit_vector(self) -> np.ndarray:
-        st = math.sin(self.theta)
-        return np.array(
-            [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
-        )
-
-
-def geodesic_distance(p: SpherePoint, q: SpherePoint) -> float:
-    """Angular distance arccos(<u_p, u_q>) in [0, pi].
-
-    The inner product is clamped to [-1, 1] to absorb rounding.
-    """
-    dot = float(np.dot(p.unit_vector(), q.unit_vector()))
-    return math.acos(max(-1.0, min(1.0, dot)))
 
 
 @dataclass(frozen=True)
@@ -217,13 +201,14 @@ class EqualAreaPartition:
         return tuple(regions)
 
 
-def build_rounding_sequence(y: Sequence[float], symmetric: bool = True) -> list[int]:
-    """Integer sequence ell tracking y with half-integer prefix control.
+def build_rounding_sequence(y: Sequence[float]) -> list[int]:
+    """Symmetric integer sequence ell tracking a symmetric y with half-integer
+    prefix control.
 
-    Requires odd length and an integer total.  Guarantees:
-    sum(ell) == sum(y); |y_1-ell_1| = |y_s-ell_s| <= 1/2; |y_i-ell_i| <= 1
-    for interior i; every prefix sum of y-ell lies in [-1/2, 1/2]; and ell
-    is symmetric whenever y is and the flag is set.
+    Requires odd length, an integer total and y symmetric (to 1e-9).
+    Guarantees: sum(ell) == sum(y); |y_1-ell_1| = |y_s-ell_s| <= 1/2;
+    |y_i-ell_i| <= 1 for interior i; every prefix sum of y-ell lies in
+    [-1/2, 1/2]; and ell is symmetric.
 
     Construction: cumulative rounding ell_k = round(S_k) - round(S_{k-1})
     (round half to even) on the first half, mirrored to the second half,
@@ -237,17 +222,11 @@ def build_rounding_sequence(y: Sequence[float], symmetric: bool = True) -> list[
     total = round(total_f)
     if abs(total_f - total) > 1e-9 * max(1.0, abs(total_f)):
         raise ValueError(f"sum of y must be an integer, got {total_f!r}")
-    if symmetric:
-        for i in range(s // 2):
-            if abs(y[i] - y[s - 1 - i]) > 1e-9 * max(1.0, abs(y[i])):
-                raise ValueError("symmetric rounding requested but y is not symmetric")
+    for i in range(s // 2):
+        if abs(y[i] - y[s - 1 - i]) > 1e-9 * max(1.0, abs(y[i])):
+            raise ValueError("y is not symmetric")
     if s == 1:
         return [total]
-    if not symmetric:
-        prefixes = np.round(np.cumsum(y)).astype(int)
-        ell = np.diff(np.concatenate([[0], prefixes]))
-        ell[-1] = total - int(prefixes[-2])
-        return [int(v) for v in ell]
     half = s // 2
     prefix = 0.0
     ell = [0] * s
@@ -282,7 +261,7 @@ def build_partition(N: int) -> EqualAreaPartition:
     delta_theta = (math.pi - 2.0 * theta0) / s
     theta_p = [theta0 + k * delta_theta for k in range(s + 1)]  # theta'_0 .. theta'_s
     y = [N * (math.cos(theta_p[k - 1]) - math.cos(theta_p[k])) / 2.0 for k in range(1, s + 1)]
-    ell_mid = build_rounding_sequence(y, symmetric=True)
+    ell_mid = build_rounding_sequence(y)
     if sum(ell_mid) != N - 50:
         raise ValueError(f"rounding sequence sums to {sum(ell_mid)}, expected {N - 50}")
     ell = [25] + ell_mid + [25]

@@ -68,6 +68,18 @@ class TestApplyMultiplier:
         rhs = 2.5 * apply_multiplier(f, a).coeffs + apply_multiplier(f, b).coeffs
         np.testing.assert_allclose(lhs.coeffs, rhs, rtol=1e-14)
 
+    @pytest.mark.parametrize("m_max, filt_m_max", [(0, 0), (1, 4), (9, 9), (24, 30)])
+    def test_bitwise_the_per_degree_scaling(self, m_max, filt_m_max):
+        rng = np.random.default_rng(m_max)
+        b = rng.uniform(-1, 1, filt_m_max + 1)
+        b[::3] = 0.0
+        c = random_poly(m_max, sigma=1.0, seed=m_max)
+        expected = c.coeffs.copy()
+        for m in range(m_max + 1):
+            expected[m * m : (m + 1) ** 2] *= b[m]
+        out = apply_multiplier(MultiplierFilter(b), c)
+        assert out.coeffs.tobytes() == expected.tobytes()
+
     def test_rejects_short_filter(self):
         with pytest.raises(ValueError):
             apply_multiplier(identity_multipliers(3), random_poly(5, 1.0, 0))

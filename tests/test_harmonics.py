@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import lpmv
+from scipy.special import eval_legendre, lpmv
 
 from conftest import (
     product_quadrature_grid,
@@ -34,12 +34,10 @@ from spheredecon.harmonics import (
     index_of,
     normalized_legendre,
     num_coeffs,
-    project,
     random_poly,
     sobolev_norm,
-    zonal_kernel,
 )
-from spheredecon.sphere_geometry import SpherePoint, build_partition, nodes_to_arrays, pick_nodes
+from spheredecon.sphere_geometry import build_partition, nodes_to_arrays, pick_nodes
 
 
 class TestLayout:
@@ -493,55 +491,18 @@ class TestSynthesisOracle:
 
 
 class TestZonalKernel:
-    def test_diagonal_value(self):
-        x = SpherePoint(0.9, 2.5)
-        assert zonal_kernel(4, x, x) == pytest.approx(9.0, rel=1e-13)
-
-    def test_antipodal_degree_one(self):
-        x = SpherePoint(0.0, 0.0)
-        y = SpherePoint(math.pi, 0.0)
-        assert zonal_kernel(1, x, y) == pytest.approx(-3.0, rel=1e-13)
-
     def test_addition_theorem_off_diagonal(self):
         thetas, phis = random_sphere_points(100, seed=21)
-        xs = [SpherePoint(t, p) for t, p in zip(thetas[:50], phis[:50])]
-        ys = [SpherePoint(t, p) for t, p in zip(thetas[50:], phis[50:])]
         for m in (1, 3, 8, 14, 20):
-            for x, y in list(zip(xs, ys))[:10]:
-                lhs = zonal_kernel(m, x, y)
-                bx = basis_matrix(m, np.array([x.theta]), np.array([x.phi]))[0, block_slice(m)]
-                by = basis_matrix(m, np.array([y.theta]), np.array([y.phi]))[0, block_slice(m)]
+            for j in range(10):
+                tx, px, ty, py = thetas[j], phis[j], thetas[50 + j], phis[50 + j]
+                # (2m+1) P_m(cos rho) with rho the angle between the two points
+                cos_rho = (math.cos(tx) * math.cos(ty)
+                           + math.sin(tx) * math.sin(ty) * math.cos(px - py))
+                lhs = (2 * m + 1) * eval_legendre(m, cos_rho)
+                bx = basis_matrix(m, np.array([tx]), np.array([px]))[0, block_slice(m)]
+                by = basis_matrix(m, np.array([ty]), np.array([py]))[0, block_slice(m)]
                 assert lhs == pytest.approx(float(bx @ by), abs=1e-10)
-
-    def test_rotation_invariance(self):
-        # pairs at the same distance give the same kernel value
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            rho = rng.uniform(0.2, math.pi - 0.2)
-            x1 = SpherePoint(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            # rotate: pick any point at distance rho from x1 via a random bearing
-            y1 = _point_at_distance(x1, rho, rng.uniform(0, 2 * math.pi))
-            x2 = SpherePoint(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            y2 = _point_at_distance(x2, rho, rng.uniform(0, 2 * math.pi))
-            for m in (2, 7):
-                assert zonal_kernel(m, x1, y1) == pytest.approx(
-                    zonal_kernel(m, x2, y2), abs=1e-10
-                )
-
-
-def _point_at_distance(x: SpherePoint, rho: float, bearing: float) -> SpherePoint:
-    """A point at geodesic distance rho from x along the given bearing."""
-    u = x.unit_vector()
-    ref = np.array([0.0, 0.0, 1.0]) if abs(u[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(u, ref)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(u, e1)
-    direction = math.cos(bearing) * e1 + math.sin(bearing) * e2
-    v = math.cos(rho) * u + math.sin(rho) * direction
-    v /= np.linalg.norm(v)
-    theta = math.acos(max(-1.0, min(1.0, v[2])))
-    phi = math.atan2(v[1], v[0]) % (2 * math.pi)
-    return SpherePoint(theta, phi)
 
 
 class TestSobolevNorm:
@@ -565,23 +526,6 @@ class TestSobolevNorm:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             sobolev_norm(random_poly(2, 1.0, 1), -0.5)
-
-
-class TestProject:
-    def test_constant_projection(self):
-        c = CoefficientVector(3, np.eye(16)[0])
-        assert np.array_equal(project(c, 0).coeffs, c.coeffs)
-
-    def test_decomposition(self):
-        c = random_poly(5, sigma=1.0, seed=13)
-        total = np.zeros_like(c.coeffs)
-        for m in range(6):
-            total += project(c, m).coeffs
-        np.testing.assert_array_equal(total, c.coeffs)
-
-    def test_disjoint_supports(self):
-        c = random_poly(5, sigma=1.0, seed=14)
-        assert float(project(c, 2).coeffs @ project(c, 4).coeffs) == 0.0
 
 
 class TestRandomPoly:

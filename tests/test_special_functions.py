@@ -15,11 +15,8 @@ from spheredecon.special_functions import (
     QuadratureError,
     _composite_gl,
     adaptive_quadrature,
-    delta_m,
-    jacobi,
     jacobi_all,
     jacobi_at_one,
-    lambda_sq,
     radial_density,
 )
 
@@ -42,15 +39,15 @@ def jacobi_sum_oracle(m: int, a: int, b: int, x: Fraction) -> Fraction:
 
 class TestJacobi:
     def test_degree_one_legendre_is_x(self):
-        assert jacobi(1, S2, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert jacobi_all(1, S2, 0.5)[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_legendre_at_one(self):
-        assert jacobi(2, S2, 1.0) == pytest.approx(1.0, abs=1e-14)
+        assert jacobi_all(2, S2, 1.0)[2] == pytest.approx(1.0, abs=1e-14)
 
     def test_frozen_high_precision_value(self):
         # exact sum oracle: P_5^{1,1}(3/10) = 231057/400000
         assert jacobi_sum_oracle(5, 1, 1, Fraction(3, 10)) == Fraction(231057, 400000)
-        assert jacobi(5, JacobiParams(1, 1), 0.3) == pytest.approx(0.5776425, rel=1e-12)
+        assert jacobi_all(5, JacobiParams(1, 1), 0.3)[5] == pytest.approx(0.5776425, rel=1e-12)
 
     @pytest.mark.parametrize("a,b", [(0, 0), (1, 1)])
     def test_recurrence_matches_exact_sum_to_degree_60(self, a, b):
@@ -67,7 +64,7 @@ class TestJacobi:
         xs = np.linspace(-1, 1, 7)
         arr = jacobi_all(9, params, xs)
         for i, x in enumerate(xs):
-            assert arr[5, i] == pytest.approx(jacobi(5, params, float(x)), rel=1e-14)
+            assert arr[5, i] == pytest.approx(jacobi_all(5, params, float(x))[5], rel=1e-14)
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
@@ -87,51 +84,6 @@ class TestJacobiAtOne:
     def test_large_degree_no_overflow(self):
         v = jacobi_at_one(400, JacobiParams(1, 1))
         assert np.isfinite(v) and v == pytest.approx(401.0, rel=1e-10)
-
-
-class TestDimensions:
-    @pytest.mark.parametrize("params", [S2, S4, JacobiParams(1, 0), JacobiParams(3, 1)])
-    def test_degree_zero_is_one(self, params):
-        assert delta_m(0, params) == 1.0
-
-    def test_sphere2_is_2m_plus_1(self):
-        for m in range(30):
-            assert delta_m(m, S2) == pytest.approx(2 * m + 1, rel=1e-12)
-
-    def test_sphere4_matches_binomial_formula(self):
-        # binom(d+m, d) - binom(d+m-2, d) with d = 4
-        for m in range(1, 12):
-            expected = math.comb(4 + m, 4) - math.comb(2 + m, 4)
-            assert delta_m(m, S4) == pytest.approx(expected, rel=1e-11)
-        assert delta_m(2, S4) == pytest.approx(14.0, rel=1e-11)
-
-    @pytest.mark.parametrize("params", [S2, S4, JacobiParams(1, 0), JacobiParams(2, 0.5)])
-    def test_dimension_upper_bound(self, params):
-        a, b = params.a, params.b
-        for m in range(1, 101):
-            bound = (a + 1) / (b + 1) * (2 * m + a + b + 1) * float(m) ** (2 * a)
-            assert delta_m(m, params) <= bound * (1 + 1e-12)
-
-    def test_weyl_scaling_on_sphere(self):
-        # cumulative dimension over m^2 settles near 1
-        ratios = []
-        for m in (20, 40, 80, 160):
-            total = sum(delta_m(n, S2) for n in range(m + 1))
-            ratios.append(total / m**2)
-        assert all(0.5 < r < 2.0 for r in ratios)
-        diffs = np.abs(np.diff(ratios))
-        assert diffs[-1] < diffs[0]
-
-
-class TestEigenvalues:
-    def test_zero(self):
-        assert lambda_sq(0, JacobiParams(1, 0.5)) == 0.0
-
-    def test_sphere2(self):
-        assert lambda_sq(1, S2) == pytest.approx(2.0)
-
-    def test_sphere4(self):
-        assert lambda_sq(2, S4) == pytest.approx(10.0)
 
 
 class TestRadialDensity:
@@ -177,14 +129,6 @@ def lgamma_budget(*args: float) -> float:
     return 4 * EPS * (1 + sum(abs(math.lgamma(t)) for t in args))
 
 
-def mp_log_delta(m: int, a, b):
-    lg = mpmath.loggamma
-    return (
-        lg(b + 1) - lg(a + 1) - lg(a + b + 2)
-        + lg(m + a + b + 1) - lg(m + b + 1) + lg(m + a + 1) - lg(m + 1)
-    )
-
-
 class TestLogGammaOracles:
     """50-digit mpmath references for the closed forms built on log-gamma."""
 
@@ -197,17 +141,6 @@ class TestLogGammaOracles:
                 ref = mpmath.gamma(m + ma + 1) / (mpmath.gamma(m + 1) * mpmath.gamma(ma + 1))
                 err = abs(jacobi_at_one(m, params) / ref - 1)
                 assert err <= lgamma_budget(m + a + 1, m + 1, a + 1), (m, float(err))
-
-    @pytest.mark.parametrize("a,b", NON_SPHERE_PAIRS)
-    def test_delta_m(self, a, b):
-        params = JacobiParams(a, b)
-        with mpmath.workdps(50):
-            ma, mb = mpmath.mpf(a), mpmath.mpf(b)
-            for m in range(1, 401):
-                ref = (2 * m + ma + mb + 1) * mpmath.exp(mp_log_delta(m, ma, mb))
-                err = abs(delta_m(m, params) / ref - 1)
-                terms = (b + 1, a + 1, a + b + 2, m + a + b + 1, m + b + 1, m + a + 1, m + 1)
-                assert err <= lgamma_budget(*terms) + 4 * EPS, (m, float(err))
 
     @pytest.mark.parametrize("a,b", NON_SPHERE_PAIRS)
     def test_radial_density(self, a, b):
@@ -226,7 +159,6 @@ class TestLogGammaOracles:
 
     def test_sphere_values_are_exact(self):
         for m in range(401):
-            assert delta_m(m, S2) == 2 * m + 1
             assert jacobi_at_one(m, S2) == 1.0
 
 

@@ -14,7 +14,6 @@ from spheredecon.sphere_geometry import (
     SpherePoint,
     build_partition,
     build_rounding_sequence,
-    geodesic_distance,
     partition_to_json,
     pick_nodes,
     region_measure,
@@ -51,39 +50,19 @@ def check_rounding_properties(y, ell, atol=1e-9):
         assert abs(prefix) <= 0.5 + atol
 
 
-class TestSpherePoint:
-    def test_unit_vector_norm(self):
-        rng = np.random.default_rng(1)
-        for _ in range(25):
-            p = SpherePoint(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            assert abs(np.linalg.norm(p.unit_vector()) - 1) < 1e-12
+def angle(p: SpherePoint, q: SpherePoint) -> float:
+    """Angular distance: the clipped arccos of the dot product of the unit vectors."""
+    u, v = ([math.sin(x.theta) * math.cos(x.phi), math.sin(x.theta) * math.sin(x.phi),
+             math.cos(x.theta)] for x in (p, q))
+    return math.acos(max(-1.0, min(1.0, float(np.dot(u, v)))))
 
+
+class TestSpherePoint:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             SpherePoint(-0.1, 0.0)
         with pytest.raises(ValueError):
             SpherePoint(0.5, 2 * math.pi)
-
-
-class TestGeodesicDistance:
-    def test_identical_points(self):
-        north = SpherePoint(0.0, 0.0)
-        assert geodesic_distance(north, north) == 0.0
-
-    def test_antipodal(self):
-        assert geodesic_distance(SpherePoint(0.0, 0.0), SpherePoint(math.pi, 0.0)) == pytest.approx(math.pi)
-
-    def test_equatorial_quarter_turn(self):
-        p = SpherePoint(math.pi / 2, 0.0)
-        q = SpherePoint(math.pi / 2, math.pi / 2)
-        assert geodesic_distance(p, q) == pytest.approx(math.pi / 2, abs=1e-14)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            p = SpherePoint(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            q = SpherePoint(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            assert geodesic_distance(p, q) == pytest.approx(geodesic_distance(q, p), abs=1e-14)
 
 
 class TestRoundingSequence:
@@ -127,14 +106,9 @@ class TestRoundingSequence:
             check_rounding_properties(list(y), ell)
             assert ell == ell[::-1]
 
-    def test_asymmetric_fallback(self):
-        y = [1.6, 2.4, 1.0]
-        ell = build_rounding_sequence(y, symmetric=False)
-        assert sum(ell) == 5
-        prefix = 0.0
-        for yy, ll in zip(y, ell):
-            prefix += yy - ll
-            assert abs(prefix) <= 0.5 + 1e-12
+    def test_rejects_asymmetric_input(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            build_rounding_sequence([1.6, 2.4, 1.0])
 
 
 class TestBuildPartition:
@@ -198,7 +172,7 @@ class TestBuildPartition:
                 for f in (r.phi_lo, r.phi_hi)
             ]
             assert all(
-                geodesic_distance(c, q) <= p.max_cap_radius + 1e-12 for q in corners
+                angle(c, q) <= p.max_cap_radius + 1e-12 for q in corners
             )
 
     def test_inscribed_radius_positive(self):
@@ -320,7 +294,7 @@ def _oracle_enclosing(r):
         tstar = psi + math.pi
         if r.theta_lo < tstar < r.theta_hi:
             q = SpherePoint(tstar, phi % (2.0 * math.pi))
-            best = max(best, geodesic_distance(center, q))
+            best = max(best, angle(center, q))
     return best
 
 
