@@ -22,6 +22,7 @@ from spheredecon.harmonics import (
     _analysis,
     _basis_rows,
     _basis_transpose,
+    _degrees,
     _synthesis,
     _trig,
     _trig_chunks,
@@ -36,6 +37,7 @@ from spheredecon.harmonics import (
     num_coeffs,
     random_poly,
     sobolev_norm,
+    sobolev_weights,
 )
 from spheredecon.sphere_geometry import build_partition, nodes_to_arrays, pick_nodes
 
@@ -52,6 +54,19 @@ class TestLayout:
 
     def test_num_coeffs(self):
         assert num_coeffs(5) == 36
+
+
+class TestDegrees:
+    @pytest.mark.parametrize("m_max", [0, 1, 7, 30])
+    def test_matches_block_slice(self, m_max):
+        deg = _degrees(m_max)
+        assert len(deg) == num_coeffs(m_max)
+        for m in range(m_max + 1):
+            assert np.all(deg[block_slice(m)] == m)
+
+    def test_sphere_eigenspace_dimension_is_2m_plus_1(self):
+        counts = np.bincount(_degrees(40))
+        np.testing.assert_array_equal(counts, 2 * np.arange(41) + 1)
 
 
 class TestNormalizedLegendre:
@@ -490,7 +505,54 @@ class TestSynthesisOracle:
             assert abs(v - exact) <= 2 * m * np.finfo(float).eps * size
 
 
+def block_kernel(m: int, x: tuple, y: tuple) -> float:
+    """Sum over the degree-m basis of Y(x) Y(y); (theta, phi) pairs."""
+    bx = basis_matrix(m, np.array([x[0]]), np.array([x[1]]))[0, block_slice(m)]
+    by = basis_matrix(m, np.array([y[0]]), np.array([y[1]]))[0, block_slice(m)]
+    return float(bx @ by)
+
+
+def _unit_vector(theta: float, phi: float) -> np.ndarray:
+    st = math.sin(theta)
+    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+
+
+def _point_at_distance(x: tuple, rho: float, bearing: float) -> tuple:
+    """A point (theta, phi) at angle rho from x along the given bearing."""
+    u = _unit_vector(*x)
+    ref = np.array([0.0, 0.0, 1.0]) if abs(u[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    e1 = np.cross(u, ref)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(u, e1)
+    v = math.cos(rho) * u + math.sin(rho) * (math.cos(bearing) * e1 + math.sin(bearing) * e2)
+    v /= np.linalg.norm(v)
+    return math.acos(max(-1.0, min(1.0, v[2]))), math.atan2(v[1], v[0]) % (2 * math.pi)
+
+
 class TestZonalKernel:
+    """The degree-m block of the basis reproduces (2m+1) P_m(cos rho)."""
+
+    def test_diagonal_value(self):
+        x = (0.9, 2.5)
+        assert block_kernel(4, x, x) == pytest.approx(9.0, rel=1e-13)
+
+    def test_antipodal_degree_one(self):
+        assert block_kernel(1, (0.0, 0.0), (math.pi, 0.0)) == pytest.approx(-3.0, rel=1e-13)
+
+    def test_rotation_invariance(self):
+        # pairs at the same distance give the same kernel value
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            rho = rng.uniform(0.2, math.pi - 0.2)
+            x1 = (rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+            y1 = _point_at_distance(x1, rho, rng.uniform(0, 2 * math.pi))
+            x2 = (rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+            y2 = _point_at_distance(x2, rho, rng.uniform(0, 2 * math.pi))
+            for m in (2, 7):
+                assert block_kernel(m, x1, y1) == pytest.approx(
+                    block_kernel(m, x2, y2), abs=1e-10
+                )
+
     def test_addition_theorem_off_diagonal(self):
         thetas, phis = random_sphere_points(100, seed=21)
         for m in (1, 3, 8, 14, 20):
@@ -526,6 +588,20 @@ class TestSobolevNorm:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             sobolev_norm(random_poly(2, 1.0, 1), -0.5)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0, 2.5])
+    def test_weights_per_degree(self, sigma):
+        w = sobolev_weights(12, sigma)
+        assert len(w) == num_coeffs(12)
+        for m in range(13):
+            assert np.all(w[block_slice(m)] == (1.0 + m * (m + 1.0)) ** sigma)
+
+    def test_weights_hold_the_laplacian_eigenvalues(self):
+        # on S^2 the degree-m eigenvalue of -Laplace is m(m+1)
+        lam = sobolev_weights(9, 1.0) - 1.0
+        deg = _degrees(9)
+        np.testing.assert_array_equal(lam, deg * (deg + 1.0))
+        assert lam[0] == 0.0 and lam[block_slice(1)][0] == 2.0
 
 
 class TestRandomPoly:

@@ -15,6 +15,7 @@ from spheredecon.harmonics import (
     CoefficientVector,
     _trig,
     basis_matrix,
+    block_slice,
     index_of,
     normalized_legendre,
     num_coeffs,
@@ -113,6 +114,15 @@ class TestDesignMatrix:
     def test_degree_beyond_filter_rejected(self, family):
         with pytest.raises(ValueError):
             design_matrix(identity_multipliers(2), family, 3)
+
+    @pytest.mark.parametrize("m", [0, 3, 9])
+    def test_column_multipliers_per_degree(self, family, m):
+        b = np.random.default_rng(m).uniform(0.5, 1.5, 10)
+        b[1::4] = 0.0
+        bcol = reconstruct._column_multipliers(MultiplierFilter(b), family, m)
+        assert len(bcol) == num_coeffs(m)
+        for n in range(m + 1):
+            assert np.all(bcol[block_slice(n)] == b[n])
 
 
 class TestLsqSolve:

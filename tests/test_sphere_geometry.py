@@ -110,6 +110,12 @@ class TestRoundingSequence:
         with pytest.raises(ValueError, match="not symmetric"):
             build_rounding_sequence([1.6, 2.4, 1.0])
 
+    def test_symmetry_tolerance(self):
+        # a mismatch of rounding size passes; one of 1e-6 does not
+        assert build_rounding_sequence([1.4 + 1e-13, 1.2, 1.4]) == [1, 2, 1]
+        with pytest.raises(ValueError, match="not symmetric"):
+            build_rounding_sequence([1.4 + 1e-6, 1.2, 1.4 - 1e-6])
+
 
 class TestBuildPartition:
     def test_rejects_small_n(self):
