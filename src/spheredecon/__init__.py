@@ -52,7 +52,6 @@ from .filters import (
 from .forward import MeasurementSet, add_noise, apply_multiplier, sample_at, simulate
 from .reconstruct import (
     LsqReport,
-    design_matrix,
     filtered_singular_values,
     lsq_solve,
 )

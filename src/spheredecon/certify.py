@@ -6,8 +6,9 @@ A ||q||^2 and B ||q||^2 with 0 < A <= 1 <= B.  Those extreme ratios are the
 extreme eigenvalues of the Gram matrix G = B_w^T B_w of the weighted sampling
 matrix B_w, measured here by dense eigensolves of the blocks the sampling
 operator holds G in (on the ring path its four classes, cosine or sine side
-times the parity of n - |k|; on the dense path G whole).  The reported A and
-B are widened by
+times the parity of n - |k|, built from the ring factors: the ring
+colatitudes, the ring of each node, phi and sqrt(tau); on the dense path G
+whole).  The reported A and B are widened by
 delta = eps * (N trace G + (m+1)^2 lambda_max) + remainder + off-block, eps
 the machine epsilon.  The first term bounds the rounding error of forming G,
 each entry a sum of at most N products whichever way the rings and rows are

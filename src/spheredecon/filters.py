@@ -14,7 +14,7 @@ stored degrees only, and certificates must quote that range.
 
 Importing this module loads numpy only.  scipy is imported on first use by
 ``PlanckProfile.evaluate`` (J1) and by ``TabulatedProfile`` (PCHIP), which
-``radial_laplacian`` and ``smoothness_bound`` with K >= 1 build.
+``radial_laplacian`` and ``smoothness_bound`` with K = 1 build.
 """
 
 from __future__ import annotations
@@ -348,12 +348,9 @@ def radial_laplacian(profile: RadialProfile) -> TabulatedProfile:
     g = profile.evaluate(r)
     d1 = _stencil_derivative(g, h, order=1)
     d2 = _stencil_derivative(g, h, order=2)
-    # A'/A for the sphere-like density: (2a+1)/2 cot(r/2) - (2b+1)/2 tan(r/2)
-    a, bpar = 0.0, 0.0  # S^2; tabulated laplacians are used on the sphere only
     interior = slice(1, -1)
-    ratio = (2 * a + 1) / 2.0 / np.tan(r[interior] / 2) - (2 * bpar + 1) / 2.0 * np.tan(
-        r[interior] / 2
-    )
+    half = np.tan(r[interior] / 2)
+    ratio = 0.5 / half - 0.5 * half  # A'/A on S^2: cot(r/2) / 2 - tan(r/2) / 2
     lap = np.empty_like(g)
     lap[interior] = d2[interior] + ratio * d1[interior]
     lap[0] = 3 * lap[1] - 3 * lap[2] + lap[3]
@@ -387,22 +384,16 @@ def _stencil_derivative(g: np.ndarray, h: float, order: int) -> np.ndarray:
 
 
 def smoothness_bound(profile: RadialProfile, K: int, m: int) -> float:
-    """Upper bound 2^K ||Delta^K h||_2 / (1+m(m+1))^{(4K+1)/4} on |b_m|."""
-    if K < 0:
-        raise ValueError("K must be >= 0")
+    """Upper bound 2^K ||Delta^K h||_2 / (1+m(m+1))^{(4K+1)/4} on |b_m|, K = 0 or 1.
+
+    K = 1 takes ``radial_laplacian`` of a smooth built-in profile; its tabulated
+    result is not smooth enough to take again, so K >= 2 is rejected.
+    """
+    if K not in (0, 1):
+        raise ValueError(f"smoothness bound needs K = 0 or 1, got K = {K}")
     if m < 0:
         raise ValueError("m must be >= 0")
-    if K == 0:
-        norm = profile_l2_norm(profile)
-    else:
-        if not getattr(profile, "supports_laplacian", False):
-            raise ValueError(
-                "smoothness bound with K >= 1 needs a smooth built-in profile"
-            )
-        p = profile
-        for _ in range(K):
-            p = radial_laplacian(p)
-        norm = profile_l2_norm(p)
+    norm = profile_l2_norm(profile if K == 0 else radial_laplacian(profile))
     return float(2.0**K * norm / (1.0 + m * (m + 1.0)) ** ((4 * K + 1) / 4.0))
 
 

@@ -9,19 +9,23 @@ and the squared l2 norm of a coefficient vector equals the squared L2 norm
 of the synthesized function.
 
 The colatitude (Legendre) factors come one degree at a time, and each
-degree is used as it is made: ``basis_matrix`` writes its block of rows, and
-matrix-free synthesis adds it to per-ring sums (points on a few latitude
-rings, such as area_center nodes, share them).  ``normalized_legendre``
-stacks the degrees for the few ring colatitudes that ``reconstruct`` keeps.
+degree is used as it is made, never stacked: ``basis_matrix`` writes its
+block of rows, matrix-free synthesis adds it to per-ring order sums, and
+its adjoint sums the degree's ring rows over the rings.  Points on a few
+latitude rings, such as area_center nodes, share them: the ring factors
+that ``reconstruct`` keeps are the ring colatitudes, the ring of each
+point, the longitudes and sqrt(tau), all O(points), and every use steps
+the degrees from the ring colatitudes anew.
 
 The azimuthal factors cos(k phi), sin(k phi) come from one sin/cos pair per
 point by angle addition (``_trig``), with real elementwise operations only,
 so each point's values are independent of the batch and of the BLAS thread
 count; their error, checked against mpmath for m_max <= 256, stays below
-m_max * eps.  Synthesis, its adjoint and ``eval_poly_many`` make them one
-chunk of whole rings at a time (``_trig_chunks``) and use each chunk at
-once, so they hold no (points, 2m+1) table; only the whole basis rows
-(``basis_matrix``, ``_basis_rows``) take them for all points.
+m_max * eps.  Synthesis (``eval_poly_many`` among its callers) and its
+adjoint make them, times sqrt(tau), one chunk of whole rings at a time
+(``_trig_chunks``) and use each chunk at once, so they hold no
+(points, 2m+1) table; only the whole basis rows (``basis_matrix``,
+``_basis_rows``) take them for all points.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ __all__ = [
     "num_coeffs",
     "block_slice",
     "index_of",
-    "normalized_legendre",
     "basis_matrix",
     "eval_poly_many",
     "sobolev_norm",
@@ -98,10 +101,17 @@ def _legendre_steps(m_max: int, theta):
     (no Condon-Shortley phase), shape (m+1, n), for m = 0..m_max in turn:
     sectoral Q[m, m] from Q[m-1, m-1], the orders k < m from degrees m-1 and
     m-2.  The scaling keeps every entry O(sqrt(2m+1)), stable far beyond
-    m = 200.  Three buffers rotate: use each degree before the next and do
-    not write to it."""
+    m = 200.  The recurrence coefficients of all degrees are taken at once,
+    (m_max+1)^2 of each kind.  Three buffers rotate: use each degree before
+    the next and do not write to it."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     x, s = np.cos(theta), np.sin(theta)
+    alpha, beta = np.zeros((2, m_max + 1, m_max + 1))
+    m, k = np.tril_indices(m_max + 1, -1)  # orders k < m: degree m - 1
+    alpha[m, k] = np.sqrt((4 * m * m - 1) / ((m - k) * (m + k)))
+    m, k = np.tril_indices(m_max + 1, -2)  # orders k < m - 1: degree m - 2
+    beta[m, k] = np.sqrt((2 * m + 1) * (m - 1 - k) * (m - 1 + k)
+                         / ((2 * m - 3) * (m - k) * (m + k)))
     bufs = np.empty((3, m_max + 1, theta.size))
     bufs[0, 0] = 1.0
     prev, cur = bufs[2, :0], bufs[0, :1]
@@ -109,46 +119,35 @@ def _legendre_steps(m_max: int, theta):
     for m in range(1, m_max + 1):
         q = bufs[m % 3, : m + 1]
         np.multiply(math.sqrt((2 * m + 1) / (2 * m)) * s, cur[m - 1], out=q[m])
-        k = np.arange(m)
-        np.multiply(np.sqrt((4 * m * m - 1) / ((m - k) * (m + k)))[:, None], x, out=q[:m])
+        np.multiply(alpha[m, :m, None], x, out=q[:m])
         q[:m] *= cur
-        k = k[: m - 1]
-        prev *= np.sqrt((2 * m + 1) * (m - 1 - k) * (m - 1 + k)
-                        / ((2 * m - 3) * (m - k) * (m + k)))[:, None]
+        prev *= beta[m, : m - 1, None]
         q[: m - 1] -= prev  # degree m - 2, not read again
         prev, cur = cur, q
         yield q
 
 
-def normalized_legendre(m_max: int, theta: np.ndarray) -> np.ndarray:
-    """Colatitude factors Q[m, k] of the orthonormal basis, shape (n, m_max+1, m_max+1),
-    zero for k > m: the degrees of ``_legendre_steps`` stacked."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    q = np.zeros((theta.size, m_max + 1, m_max + 1))
-    for m, qm in enumerate(_legendre_steps(m_max, theta)):
-        q[:, m, : m + 1] = qm.T
-    return q
-
-
 _TRIG_CHUNK = 512  # points per scratch block of ``_trig`` and per chunk of ``_trig_chunks``
 
 
-def _trig(m_max: int, phis, out=None) -> np.ndarray:
+def _trig(m_max: int, phis, out=None, scale=None) -> np.ndarray:
     """Azimuthal factors: column m_max + k holds cos(k phi) for k >= 0 and
-    sin(|k| phi) for k < 0 (written to out, if given).
+    sin(|k| phi) for k < 0, each times the point's scale (if given; written
+    to out, if given).
 
     cos and sin are taken once per point; the orders k = 2..m_max follow by
     angle addition, doubling: orders k+1..min(2k, m_max) come from orders
     1..k and k.  Per chunk of ``_TRIG_CHUNK`` points the orders are built
     in an order-major scratch block with real elementwise products and sums
-    only, so each row is bitwise independent of the other points and of the
-    BLAS thread count.  Against the exact values at the given phi the error
-    measured about 0.5 m_max eps for m_max <= 256, and the tests hold it
-    below m_max eps.
+    only, and scaled there before they are written out point-major, so each
+    row is bitwise independent of the other points and of the BLAS thread
+    count.  Against the exact values at the given phi the error measured
+    about 0.5 m_max eps for m_max <= 256, and the tests hold it below
+    m_max eps.
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     trig = np.empty((phis.size, 2 * m_max + 1)) if out is None else out
-    trig[:, m_max] = 1.0
+    trig[:, m_max] = 1.0 if scale is None else scale
     if m_max == 0:
         return trig
     # row j of cos / sin holds order j + 1
@@ -167,9 +166,22 @@ def _trig(m_max: int, phis, out=None) -> np.ndarray:
             np.multiply(s[old], c[k - 1], out=s[new])
             s[new] += np.multiply(c[old], s[k - 1], out=t[:n])
             k += n
+        if scale is not None:
+            c *= scale[lo : lo + phi.size]
+            s *= scale[lo : lo + phi.size]
         trig[lo : lo + phi.size, m_max + 1 :] = c.T
         trig[lo : lo + phi.size, :m_max] = s[::-1].T
     return trig
+
+
+def _degree_rows(m_max: int, m: int, q: np.ndarray, trig_t: np.ndarray, out: np.ndarray):
+    """The rows of B^T of degree m, written to out (2m+1, points), from its
+    Q[m, 0..m] (order, point) and the order-major azimuthal factors."""
+    np.multiply(math.sqrt(2.0), q[:0:-1], out=out[:m])  # sin half: k = -m..-1
+    out[m] = q[0]
+    np.multiply(math.sqrt(2.0), q[1:], out=out[m + 1 :])  # cos half: k = 1..m
+    out *= trig_t[m_max - m : m_max + m + 1]
+    return out
 
 
 def _basis_transpose(m_max: int, steps, trig_t: np.ndarray) -> np.ndarray:
@@ -177,11 +189,7 @@ def _basis_transpose(m_max: int, steps, trig_t: np.ndarray) -> np.ndarray:
     point) of ``steps`` and the order-major azimuthal factors (rows scale with them)."""
     out = np.empty((num_coeffs(m_max), trig_t.shape[1]))
     for m, q in enumerate(steps):
-        rows = out[block_slice(m)]
-        np.multiply(math.sqrt(2.0), q[:0:-1], out=rows[:m])  # sin half: k = -m..-1
-        rows[m] = q[0]
-        np.multiply(math.sqrt(2.0), q[1:], out=rows[m + 1 :])  # cos half: k = 1..m
-        rows *= trig_t[m_max - m : m_max + m + 1]
+        _degree_rows(m_max, m, q, trig_t, out[block_slice(m)])
     return out
 
 
@@ -202,21 +210,18 @@ def _trig_chunks(m_max: int, phis: np.ndarray, ring_of: np.ndarray, sqrt_w=None)
     while lo < rings.size:
         hi = max(lo + 1, int(np.searchsorted(bounds, bounds[lo] + _TRIG_CHUNK, "right")) - 1)
         chunk = nodes[bounds[lo] : bounds[hi]]
-        rows = _trig(m_max, phis[chunk], out=buf[: chunk.size])
-        if sqrt_w is not None:
-            rows *= sqrt_w[chunk, None]
+        rows = _trig(m_max, phis[chunk], out=buf[: chunk.size],
+                     scale=None if sqrt_w is None else sqrt_w[chunk])
         yield chunk, rings[lo:hi], bounds[lo:hi] - bounds[lo], rows
         lo = hi
 
 
-def _basis_rows(q, ring_of, phis, sqrt_w) -> np.ndarray:
-    """Basis rows times sqrt_w from ring factors: Q per ring, the ring of
-    each point, the longitudes and sqrt_w."""
-    m_max = q.shape[1] - 1
-    trig = _trig(m_max, phis)
-    trig *= sqrt_w[:, None]
-    steps = (q[ring_of, m, : m + 1].T for m in range(m_max + 1))
-    return _basis_transpose(m_max, steps, np.ascontiguousarray(trig.T)).T
+def _basis_rows(m_max: int, colat, ring_of, phis, sqrt_w) -> np.ndarray:
+    """Basis rows times sqrt_w from ring factors: the ring colatitudes, the
+    ring of each point, the longitudes and sqrt_w."""
+    trig_t = np.ascontiguousarray(_trig(m_max, phis, scale=sqrt_w).T)
+    steps = (q[:, ring_of] for q in _legendre_steps(m_max, colat))
+    return _basis_transpose(m_max, steps, trig_t).T
 
 
 def basis_matrix(m_max: int, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -244,46 +249,44 @@ def _order_sums(m_max: int, steps, coeffs: np.ndarray, rings: int) -> np.ndarray
     return a
 
 
-def _point_sums(a: np.ndarray, ring_of, phis, sqrt_w=None) -> np.ndarray:
-    """Each point's ring column of the order sums a times its azimuthal
-    factors (times sqrt_w), one ``_trig_chunks`` chunk at a time."""
+def _synthesis(m_max: int, colat, ring_of, phis, sqrt_w, coeffs: np.ndarray) -> np.ndarray:
+    """Values at the points of ring factors (see ``_basis_rows``; sqrt_w None
+    for weight 1): each point sums its ring's ``_order_sums``, stepped from
+    the ring colatitudes, times its azimuthal factors, made chunk by chunk
+    (``_trig_chunks``); no (points, 2m+1) table is formed.  Only elementwise
+    operations and einsum are used, so the values do not depend on the BLAS
+    thread count."""
+    a = _order_sums(m_max, _legendre_steps(m_max, colat), coeffs, colat.size)
     out = np.empty(ring_of.size)
-    for nodes, _, _, rows in _trig_chunks(a.shape[0] // 2, phis, ring_of, sqrt_w):
+    for nodes, _, _, rows in _trig_chunks(m_max, phis, ring_of, sqrt_w):
         out[nodes] = np.einsum("nk,nk->n", a.T[ring_of[nodes]], rows)
     return out
 
 
-def _synthesis(q, ring_of, phis, sqrt_w, coeffs: np.ndarray) -> np.ndarray:
-    """Values at the points of ring factors (see ``_basis_rows``): each
-    point sums its ring's ``_order_sums`` times its azimuthal factors, made
-    chunk by chunk (``_trig_chunks``); no (points, 2m+1) table is formed."""
-    m_max = q.shape[1] - 1
-    a = _order_sums(m_max, (q[:, m, : m + 1].T for m in range(m_max + 1)), coeffs, q.shape[0])
-    return _point_sums(a, ring_of, phis, sqrt_w)
-
-
-def _analysis(q, ring_of, phis, sqrt_w, v: np.ndarray) -> np.ndarray:
-    """Adjoint of ``_synthesis``: sum_j v_j Y(x_j), the ring rows of ``_basis_rows``
-    with the per-ring sums a[r, k] = sum_{j in r} v_j trig[j, k] for trig (each
-    a run of ``np.add.reduceat`` over one ring of a ``_trig_chunks`` chunk), summed."""
-    m_max = q.shape[1] - 1
-    a = np.zeros((q.shape[0], 2 * m_max + 1))
+def _analysis(m_max: int, colat, ring_of, phis, sqrt_w, v: np.ndarray) -> np.ndarray:
+    """Adjoint of ``_synthesis``: sum_j v_j Y(x_j), from the per-ring sums
+    a[m_max + k, r] = sum_{j in r} v_j trig[j, k] (each a run of
+    ``np.add.reduceat`` over one ring of a ``_trig_chunks`` chunk); each
+    degree's ring rows of ``_basis_rows`` are summed over the rings as they
+    are made, so no (rings, (m+1)^2) table is formed."""
+    a = np.zeros((2 * m_max + 1, colat.size))
     for nodes, ring, starts, rows in _trig_chunks(m_max, phis, ring_of, sqrt_w):
         rows *= v[nodes, None]
-        a[ring] = np.add.reduceat(rows, starts)
-    steps = (q[:, m, : m + 1].T for m in range(m_max + 1))
-    return _basis_transpose(m_max, steps, np.ascontiguousarray(a.T)).T.sum(axis=0)
+        a[:, ring] = np.add.reduceat(rows, starts).T
+    buf = np.empty_like(a)
+    out = np.empty(num_coeffs(m_max))
+    for m, q in enumerate(_legendre_steps(m_max, colat)):
+        out[block_slice(m)] = _degree_rows(m_max, m, q, a, buf[: 2 * m + 1]).sum(axis=1)
+    return out
 
 
 def eval_poly_many(c: CoefficientVector, thetas, phis) -> np.ndarray:
-    """Synthesis at many points, without forming the basis matrix: each
-    point sums its colatitude's ``_order_sums`` times its azimuthal factors,
-    made chunk by chunk (``_trig_chunks``), so the memory is O(points + chunk
-    * (2m+1)) beyond the order sums.  Only elementwise operations and einsum
-    are used, so the values do not depend on the BLAS thread count."""
-    rings, ring_of = np.unique(np.atleast_1d(thetas), return_inverse=True)
-    a = _order_sums(c.m_max, _legendre_steps(c.m_max, rings), c.coeffs, rings.size)
-    return _point_sums(a, ring_of, np.atleast_1d(np.asarray(phis, dtype=float)))
+    """Synthesis at many points, without forming the basis matrix:
+    ``_synthesis`` over the distinct colatitudes, unweighted, so the memory
+    is O(points + chunk * (2m+1)) beyond the order sums."""
+    colat, ring_of = np.unique(np.atleast_1d(thetas), return_inverse=True)
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    return _synthesis(c.m_max, colat, ring_of, phis, None, c.coeffs)
 
 
 def sobolev_weights(m_max: int, sigma: float) -> np.ndarray:

@@ -16,19 +16,20 @@ the active block of G; it computes no spectrum.
 B_w and G are the sampling operator of one (family, degree) pair, and
 eigvalsh(G) is added to it on first need (frame constants, or a solve with
 every degree active).  ``_operator`` builds them once and keeps them on the
-family, so the frame constants (certify.mz_constants), the solve and the
-design matrix of that pair share one basis build and at most one eigensolve;
-the path gate of the last filter (below) is kept with them, so a solve and
-the singular values of the same filter share it too.  The operator takes
-one of two paths, picked from the family.  On the ring path (every
-colatitude ring keeps its aliasing pattern and the rings are
-mirror-symmetric, as with area-center nodes) it forms neither B_w nor G
-whole: it holds the ring factors (O(N): Q per ring, the ring of each node,
-the longitudes and sqrt(tau)), applied by per-ring synthesis and analysis,
-which make the weighted azimuthal factors chunk by chunk, and G as four
-blocks, cosine or sine side times the parity of n - |k|, built order pair
-by order pair; every solve and eigensolve then runs per block.  On the
-dense path (every other family) it holds B_w and G = B_w^T B_w as one block.
+family, so the frame constants (certify.mz_constants) and every solve of
+that pair share one basis build and at most one eigensolve; the path gate
+of the last filter (below) is kept with them, so a solve and the singular
+values of the same filter share it too.  The operator takes one of two
+paths, picked from the family.  On the ring path (every colatitude ring
+keeps its aliasing pattern and the rings are mirror-symmetric, as with
+area-center nodes) it forms neither B_w nor G whole: it holds the ring
+factors (O(N): the ring colatitudes, the ring of each node, the longitudes
+and sqrt(tau)), applied by per-ring synthesis and analysis, which step the
+Legendre factors from the ring colatitudes degree by degree and make the
+weighted azimuthal factors chunk by chunk, and G as four blocks, cosine or
+sine side times the parity of n - |k|, built order pair by order pair;
+every solve and eigensolve then runs per block.  On the dense path (every
+other family) it holds B_w and G = B_w^T B_w as one block.
 
 The SVD pseudoinverse of the filtered matrix, with relative cutoff 1e-12,
 runs instead when G is singular to half the working precision or when the
@@ -55,16 +56,15 @@ from .harmonics import (
     _analysis,
     _basis_rows,
     _degrees,
+    _legendre_steps,
     _synthesis,
     _trig_chunks,
     basis_matrix,
-    normalized_legendre,
     num_coeffs,
 )
 from .sphere_geometry import MzFamily
 
-__all__ = ["LsqReport", "design_matrix", "filtered_singular_values", "lsq_solve",
-           "solution_to_json"]
+__all__ = ["LsqReport", "filtered_singular_values", "lsq_solve", "solution_to_json"]
 
 _SVD_RCOND = 1e-12
 # The normal equations lose about eps * cond G: beyond 1/sqrt(eps) they would
@@ -91,16 +91,16 @@ def active_degrees(filt: MultiplierFilter, m: int) -> tuple:
 class _Operator(NamedTuple):
     """The sampling operator B_w of one (family, degree) pair.
 
-    On the ring path (``_operator``) it holds the ring factors (Q per ring,
-    the ring of each node, the longitudes, sqrt(tau): no (N, 2m+1) table) in
-    rings and bw is None; on the dense path B_w itself in bw and rings is
-    None.  G is held as its diagonal blocks (b, G[b, b]) over column index
-    blocks b: the four parity classes on the ring path, one block on the
-    dense path.  slack bounds the spectral norm of what the blocks leave out
-    of G (ring remainders and the entries between the parity classes; 0 on
-    the dense path), which the frame constants add to their rounding margin.
-    system is the path gate of the last filter solved with
-    (``_active_system``).
+    On the ring path (``_operator``) it holds the ring factors (the ring
+    colatitudes, the ring of each node, the longitudes, sqrt(tau): O(N), no
+    (N, 2m+1) table and no table of Legendre factors) in rings and bw is
+    None; on the dense path B_w itself in bw and rings is None.  G is held
+    as its diagonal blocks (b, G[b, b]) over column index blocks b: the four
+    parity classes on the ring path, one block on the dense path.  slack
+    bounds the spectral norm of what the blocks leave out of G (ring
+    remainders and the entries between the parity classes; 0 on the dense
+    path), which the frame constants add to their rounding margin.  system
+    is the path gate of the last filter solved with (``_active_system``).
     """
 
     m: int
@@ -133,13 +133,15 @@ def _operator(fam: MzFamily, m: int) -> _Operator:
     pair, never whole; the Frobenius norms of the blocks P between the
     parities of one side are summed from those entries as they are made,
     and P is never stored.  Each ring's T is taken from its rows of one
-    ``_trig_chunks`` chunk.
+    ``_trig_chunks`` chunk; the order-major Legendre factors of the rings
+    that the pairs need are stepped once for the build and not kept.
 
     Ring path: every colatitude holds >= 2 nodes, every ring keeps to its
     pattern and max ||P|| is below eps N trace G.  The operator holds the
-    ring factors (O(N)) and the four class blocks, and slack is the sum of
-    the ring remainders and max ||P|| (Weyl: it bounds the spectral norm of
-    the entries left out).  Dense path, every other family (scattered nodes):
+    ring factors (O(N): ring colatitudes, ring of each node, longitudes,
+    sqrt(tau)) and the four class blocks, and slack is the sum of the ring
+    remainders and max ||P|| (Weyl: it bounds the spectral norm of the
+    entries left out).  Dense path, every other family (scattered nodes):
     B_w and one block G = B_w^T B_w, slack 0.
 
     The family keeps the last degree's operator in its one slot, with
@@ -190,14 +192,15 @@ def _ring_operator(fam: MzFamily, m: int) -> Optional[_Operator]:
     if counts.min() < 2:
         return None
     phis, sqrt_w = fam.nodes[:, 1], np.sqrt(fam.weights)
-    q = normalized_legendre(m, colat)
+    qt = np.zeros((m + 1, m + 1, colat.size))  # Q[r, n, a] at qt[a, n, r]
+    for n, qn in enumerate(_legendre_steps(m, colat)):
+        qt[: n + 1, n] = qn
     k = np.arange(-m, m + 1)
     abs_k = np.abs(k)
     c = np.where(abs_k > 0, math.sqrt(2.0), 1.0)
-    col = c * np.sqrt(np.sum(q**2, axis=1))[:, abs_k]  # norms of the columns c_k Q[:, |k|]
+    col = c * np.sqrt(np.sum(qt**2, axis=1)).T[:, abs_k]  # norms of the columns c_k Q[:, |k|]
     same_side = (k >= 0)[:, None] == (k >= 0)
-    patterns, slack = {}, 0.0
-    diag, pairs = [], []  # per ring: c^2 diag T, kept j < j'
+    patterns, slack, pairs = {}, 0.0, []  # per ring: kept j <= j' and their weights
     rings = (ring for _, _, starts, rows in _trig_chunks(m, phis, ring_of, sqrt_w)
              for ring in np.split(rows, starts[1:]))  # the weighted trig of each ring in turn
     for i, t in enumerate(rings):
@@ -206,7 +209,7 @@ def _ring_operator(fam: MzFamily, m: int) -> Optional[_Operator]:
         if period not in patterns:
             keep = same_side & (((abs_k[:, None] - abs_k) % period == 0)
                                 | ((abs_k[:, None] + abs_k) % period == 0))
-            patterns[period] = keep, np.nonzero(np.triu(keep, 1))
+            patterns[period] = keep, np.nonzero(np.triu(keep))
         keep, (j, jj) = patterns[period]
         gram_t = t.T @ t.copy()  # GEMM: numpy sends t.T @ t to SYRK, erratic at 2 threads
         off = np.where(keep, 0.0, gram_t)
@@ -214,33 +217,34 @@ def _ring_operator(fam: MzFamily, m: int) -> Optional[_Operator]:
             return None
         slack += float(np.linalg.norm(off * np.outer(col[i], col[i])))
         pairs.append((np.full(j.size, i), j, jj, c[j] * gram_t[j, jj] * c[jj]))
-        diag.append(c * c * gram_t.diagonal())
     pairs = tuple(np.concatenate(x) for x in zip(*pairs))
-    classes = _class_blocks(m, q, np.array(diag), pairs, eps * len(fam.nodes))
+    classes = _class_blocks(m, qt, pairs, eps * len(fam.nodes))
     if classes is None:
         return None
     blocks, between = classes
-    return _Operator(m, None, (q, ring_of, phis, sqrt_w), blocks, slack + between)
+    return _Operator(m, None, (colat, ring_of, phis, sqrt_w), blocks, slack + between)
 
 
-def _class_blocks(m: int, q: np.ndarray, diag: np.ndarray, pairs: tuple, eps_n: float):
+def _class_blocks(m: int, qt: np.ndarray, pairs: tuple, eps_n: float):
     """The four class blocks of G and max ||P|| (see ``_operator``), or None
     when max ||P|| reaches the budget eps_n trace G.
 
-    q holds the Legendre factors of the rings, diag[r, j] their weights
-    c_k^2 T[j, j] (j = m + k), and pairs = (r, j, j', w) their kept order
-    pairs j < j' with weights c_k c_k' T[j, j'].
+    qt holds the Legendre factors of the rings order-major (order, degree,
+    ring), and pairs = (r, j, j', w) their kept order pairs j <= j' with
+    weights c_k c_k' T[j, j'] (j = m + k); every ring keeps the diagonal.
     """
     cols, off = _class_columns(m)
     gram = [np.zeros((b.size, b.size)) for b in cols]
     between_sq = [0.0, 0.0]  # squared Frobenius norm of P on each side
-
-    def put(j, jj, blk):
-        """Order pair (k, k') = (j - m, jj - m) into its class blocks: blk
-        has rows n = |k|.. and columns n' = |k'|.., the even offsets in
-        parity class 0 and the odd ones in class 1; its entries between the
-        parities only add to the squared norm of P."""
-        s, a, b = int(j < m), abs(j - m), abs(jj - m)
+    order = np.argsort(pairs[1] * (2 * m + 1) + pairs[2], kind="stable")
+    ring, j, jj, w = (x[order] for x in pairs)
+    first = np.flatnonzero((np.diff(j, prepend=-1) != 0) | (np.diff(jj, prepend=-1) != 0))
+    for lo, hi in zip(first.tolist(), first[1:].tolist() + [j.size]):
+        # order pair (k, k') = (j - m, j' - m): blk has rows n = |k|.. and
+        # columns n' = |k'|.., the even offsets in parity class 0 and the odd
+        # ones in class 1; its entries between the parities only add to P
+        s, a, b, r = int(j[lo] < m), abs(int(j[lo]) - m), abs(int(jj[lo]) - m), ring[lo:hi]
+        blk = (qt[a, a:][:, r] * w[lo:hi]) @ qt[b, b:][:, r].T
         o0, o1 = off[2 * s], off[2 * s + 1]
         gram[2 * s][o0[a]:o0[a + 1], o0[b]:o0[b + 1]] = blk[0::2, 0::2]
         gram[2 * s + 1][o1[a]:o1[a + 1], o1[b]:o1[b + 1]] = blk[1::2, 1::2]
@@ -249,17 +253,6 @@ def _class_blocks(m: int, q: np.ndarray, diag: np.ndarray, pairs: tuple, eps_n: 
             gram[2 * s][o0[b]:o0[b + 1], o0[a]:o0[a + 1]] = blk[0::2, 0::2].T
             gram[2 * s + 1][o1[b]:o1[b + 1], o1[a]:o1[a + 1]] = blk[1::2, 1::2].T
             between_sq[s] += np.vdot(blk[1::2, 0::2], blk[1::2, 0::2])
-
-    qt = np.ascontiguousarray(q.transpose(2, 1, 0))  # (order, degree, ring)
-    for j in range(2 * m + 1):  # every ring keeps the diagonal pairs
-        a = abs(j - m)
-        put(j, j, (qt[a, a:] * diag[:, j]) @ qt[a, a:].T)
-    order = np.argsort(pairs[1] * (2 * m + 1) + pairs[2], kind="stable")
-    ring, j, jj, w = (x[order] for x in pairs)
-    first = np.flatnonzero((np.diff(j, prepend=-1) != 0) | (np.diff(jj, prepend=-1) != 0))
-    for lo, hi in zip(first.tolist(), first[1:].tolist() + [j.size]):
-        a, b, r = abs(int(j[lo]) - m), abs(int(jj[lo]) - m), ring[lo:hi]
-        put(int(j[lo]), int(jj[lo]), (qt[a, a:][:, r] * w[lo:hi]) @ qt[b, b:][:, r].T)
     between = math.sqrt(max(between_sq))
     if between >= eps_n * sum(np.trace(g) for g in gram):
         return None
@@ -283,18 +276,18 @@ def _block_eigenvalues(blocks) -> np.ndarray:
 
 def _apply(op: _Operator, d: np.ndarray) -> np.ndarray:
     """B_w d."""
-    return op.bw @ d if op.rings is None else _synthesis(*op.rings, d)
+    return op.bw @ d if op.rings is None else _synthesis(op.m, *op.rings, d)
 
 
 def _adjoint(op: _Operator, v: np.ndarray) -> np.ndarray:
     """B_w^T v."""
-    return op.bw.T @ v if op.rings is None else _analysis(*op.rings, v)
+    return op.bw.T @ v if op.rings is None else _analysis(op.m, *op.rings, v)
 
 
 def _rows(op: _Operator) -> np.ndarray:
-    """B_w itself, for the SVD and the design matrix (on the ring path built
-    whole from the ring factors, its one (N, 2m+1) table of azimuthal factors)."""
-    return op.bw if op.rings is None else _basis_rows(*op.rings)
+    """B_w itself, for the SVD fallback (on the ring path built whole from the
+    ring factors, its one (N, 2m+1) table of azimuthal factors)."""
+    return op.bw if op.rings is None else _basis_rows(op.m, *op.rings)
 
 
 def _column_multipliers(filt: MultiplierFilter, fam: MzFamily, m: int) -> np.ndarray:
@@ -380,17 +373,6 @@ def _filtered_svd(fam: MzFamily, system: _System, mat: Optional[np.ndarray] = No
             mat = _filtered_rows(fam._operator, system.bcol)
         system = _keep_system(fam, system._replace(svd=np.linalg.svd(mat, full_matrices=False)))
     return system.svd
-
-
-def design_matrix(filt: MultiplierFilter, fam: MzFamily, m: int):
-    """Weighted sampling matrix of the filtered basis.
-
-    Rows are nodes, columns the basis functions of active degrees; the entry
-    is sqrt(tau_j) * b_{m'} * Y_{m'}^ell(x_j).  Returns (matrix, column
-    indices into the full degree-major layout).
-    """
-    bcol = _column_multipliers(filt, fam, m)
-    return _filtered_rows(_operator(fam, m), bcol), np.flatnonzero(bcol)
 
 
 def lsq_solve(

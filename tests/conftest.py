@@ -1,10 +1,10 @@
 """Shared test oracles: quadrature grids, random points on the sphere,
-integrands of the adaptive quadrature and the whole-table synthesis and
-analysis of ring factors."""
+integrands of the adaptive quadrature, the stacked Legendre factors and the
+whole-table synthesis and analysis of ring factors."""
 
 import numpy as np
 
-from spheredecon.harmonics import _basis_transpose, _order_sums
+from spheredecon.harmonics import _basis_transpose, _legendre_steps, _order_sums
 
 
 def product_quadrature_grid(n_theta: int = 48, n_phi: int = 96):
@@ -34,6 +34,17 @@ def weighted(f):
     """The integrand of ``adaptive_quadrature`` for a pointwise function f:
     the weighted sum of its values (k sums when f returns (k, points))."""
     return lambda r, w: np.sum(w * f(r), axis=-1)
+
+
+def stacked_legendre(m_max: int, theta) -> np.ndarray:
+    """The colatitude factors Q[m, k] of the orthonormal basis, shape
+    (n, m_max+1, m_max+1), zero for k > m: the degrees of ``_legendre_steps``
+    stacked."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    q = np.zeros((theta.size, m_max + 1, m_max + 1))
+    for m, qm in enumerate(_legendre_steps(m_max, theta)):
+        q[:, m, : m + 1] = qm.T
+    return q
 
 
 def whole_table_synthesis(q, ring_of, trig, coeffs):

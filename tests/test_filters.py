@@ -314,6 +314,13 @@ class TestSmoothnessBound:
         with pytest.raises(ValueError):
             smoothness_bound(ones, 1, 3)
 
+    @pytest.mark.parametrize("K", [-1, 2, 3])
+    def test_rejects_k_other_than_0_or_1(self, K):
+        # the laplacian of a smooth profile is tabulated, and a tabulated
+        # profile has no laplacian: K >= 2 is refused up front, naming K
+        with pytest.raises(ValueError, match=f"K = {K}"):
+            smoothness_bound(LunarProfile(1737.1, 30.0), K, 4)
+
     def test_k1_bound_dominates_for_planck(self):
         profile = PlanckProfile(0.1, 1.0)
         filt = multipliers_from_profile(profile, m_max=30, tol=1e-11)

@@ -13,6 +13,7 @@ from scipy.special import eval_legendre, lpmv
 from conftest import (
     product_quadrature_grid,
     random_sphere_points,
+    stacked_legendre,
     whole_table_analysis,
     whole_table_synthesis,
 )
@@ -33,7 +34,6 @@ from spheredecon.harmonics import (
     embed,
     eval_poly_many,
     index_of,
-    normalized_legendre,
     num_coeffs,
     random_poly,
     sobolev_norm,
@@ -72,7 +72,7 @@ class TestDegrees:
 class TestNormalizedLegendre:
     def test_against_scipy_lpmv(self):
         thetas = np.linspace(0.05, math.pi - 0.05, 9)
-        q = normalized_legendre(12, thetas)
+        q = stacked_legendre(12, thetas)
         x = np.cos(thetas)
         for m in range(13):
             for k in range(m + 1):
@@ -86,7 +86,7 @@ class TestNormalizedLegendre:
                 np.testing.assert_allclose(q[:, m, k], expected, rtol=1e-10, atol=1e-10)
 
     def test_stable_at_degree_200(self):
-        q = normalized_legendre(200, np.array([1.234]))
+        q = stacked_legendre(200, np.array([1.234]))
         assert np.all(np.isfinite(q))
         # addition theorem at a single point for the top degree
         total = q[0, 200, 0] ** 2 + 2 * np.sum(q[0, 200, 1:] ** 2)
@@ -94,7 +94,7 @@ class TestNormalizedLegendre:
 
 
 def _legendre_per_order_loop(m_max: int, theta: np.ndarray) -> np.ndarray:
-    """The recurrences of normalized_legendre run order by order, one degree
+    """The recurrences of ``_legendre_steps`` run order by order, one degree
     at a time: the same arithmetic, so the same bits."""
     x, s = np.cos(theta), np.sin(theta)
     q = np.zeros((theta.size, m_max + 1, m_max + 1))
@@ -118,7 +118,7 @@ class TestNormalizedLegendreLoop:
     def test_equals_the_per_order_loop(self, m_max):
         rng = np.random.default_rng(m_max)
         theta = np.r_[0.0, math.pi, 1e-3, math.pi / 2, rng.uniform(0.0, math.pi, 30)]
-        assert np.array_equal(normalized_legendre(m_max, theta),
+        assert np.array_equal(stacked_legendre(m_max, theta),
                               _legendre_per_order_loop(m_max, theta))
 
 
@@ -153,7 +153,7 @@ class TestNormalizedLegendreOracle:
     @pytest.mark.parametrize("theta", [1e-3, 0.7, math.pi / 2, 2.9])
     def test_against_mpmath_at_degree_256(self, theta):
         m = 256
-        q = normalized_legendre(m, np.array([theta]))[0, m]
+        q = stacked_legendre(m, np.array([theta]))[0, m]
         for k in (0, 1, m // 2, m - 1, m):
             assert abs(q[k] - _legendre_oracle(m, k, theta)) <= 1e-12 * math.sqrt(2 * m + 1)
 
@@ -232,19 +232,20 @@ def _polar_points():
     return np.array([0.0, math.pi, 0.0, 1.1, math.pi]), np.array([0.0, 0.0, 2.5, 0.4, 5.9])
 
 
-def ring_factors(m, thetas, phis, sqrt_w=None):
-    """Q per distinct colatitude (ring), the ring of each point, the
+def ring_factors(thetas, phis, sqrt_w=None):
+    """The distinct colatitudes (rings), the ring of each point, the
     longitudes and the square-root weights (1 if not given): the operands of
     the ring path's rows, synthesis and analysis."""
     thetas = np.asarray(thetas, dtype=float)
     rings, ring_of = np.unique(thetas, return_inverse=True)
     sqrt_w = np.ones(thetas.size) if sqrt_w is None else sqrt_w
-    return normalized_legendre(m, rings), ring_of, np.asarray(phis, dtype=float), sqrt_w
+    return rings, ring_of, np.asarray(phis, dtype=float), sqrt_w
 
 
 def tensor_route(m, thetas, phis):
-    """Basis rows gathered from the whole Q tensor of ``normalized_legendre``."""
-    q, ring_of, phis, _ = ring_factors(m, thetas, phis)
+    """Basis rows gathered from the whole Q tensor of the rings."""
+    rings, ring_of, phis, _ = ring_factors(thetas, phis)
+    q = stacked_legendre(m, rings)
     trig = _trig(m, phis)
     out = np.empty((ring_of.size, num_coeffs(m)))
     for n in range(m + 1):
@@ -264,7 +265,7 @@ class TestStreamedBasis:
         thetas, phis = points()
         oracle = tensor_route(m, thetas, phis)
         assert np.array_equal(basis_matrix(m, thetas, phis), oracle)
-        assert np.array_equal(_basis_rows(*ring_factors(m, thetas, phis)), oracle)
+        assert np.array_equal(_basis_rows(m, *ring_factors(thetas, phis)), oracle)
 
     def test_peak_memory_near_the_output(self):
         thetas, phis = random_sphere_points(2000, seed=2)
@@ -323,7 +324,7 @@ class TestMatrixFreeSynthesis:
         v = np.random.default_rng(thetas.size).standard_normal(thetas.size)
         dense = basis_matrix(c.m_max, thetas, phis).T @ v
         tol = 1e-13 * np.sum(np.abs(v)) * math.sqrt(2 * c.m_max + 1)
-        assert np.max(np.abs(_analysis(*ring_factors(c.m_max, thetas, phis), v) - dense)) <= tol
+        assert np.max(np.abs(_analysis(c.m_max, *ring_factors(thetas, phis), v) - dense)) <= tol
 
 
 def _area_center_1800():
@@ -390,20 +391,23 @@ class TestStreamedSynthesis:
         thetas, phis = points()
         rng = np.random.default_rng(m)
         sqrt_w = np.sqrt(rng.uniform(0.5, 1.5, thetas.size) / thetas.size)
-        q, ring_of, phis, sqrt_w = ring_factors(m, thetas, phis, sqrt_w)
+        rings, ring_of, phis, sqrt_w = ring_factors(thetas, phis, sqrt_w)
+        q = stacked_legendre(m, rings)
         trig = _trig(m, phis)
         d = rng.standard_normal(num_coeffs(m))
-        assert np.array_equal(eval_poly_many(CoefficientVector(m, d), thetas, phis),
-                              whole_table_synthesis(q, ring_of, trig, d))
+        values = eval_poly_many(CoefficientVector(m, d), thetas, phis)
+        assert np.array_equal(values, whole_table_synthesis(q, ring_of, trig, d))
+        assert np.array_equal(values, _synthesis(m, rings, ring_of, phis, None, d))
         trig *= sqrt_w[:, None]
         v = rng.standard_normal(thetas.size)
-        assert np.array_equal(_synthesis(q, ring_of, phis, sqrt_w, d),
+        assert np.array_equal(_synthesis(m, rings, ring_of, phis, sqrt_w, d),
                               whole_table_synthesis(q, ring_of, trig, d))
-        assert np.array_equal(_analysis(q, ring_of, phis, sqrt_w, v),
+        assert np.array_equal(_analysis(m, rings, ring_of, phis, sqrt_w, v),
                               whole_table_analysis(q, ring_of, trig, v))
         steps = (q[ring_of, n, : n + 1].T for n in range(m + 1))
-        assert np.array_equal(_basis_rows(q, ring_of, phis, sqrt_w),
+        assert np.array_equal(_basis_rows(m, rings, ring_of, phis, sqrt_w),
                               _basis_transpose(m, steps, np.ascontiguousarray(trig.T)).T)
+
 
     def test_eval_poly_many_holds_no_table(self):
         thetas, phis = nodes_to_arrays(pick_nodes(build_partition(16900)).nodes)

@@ -1,4 +1,5 @@
-"""Design matrix assembly and the least-squares solver, against an SVD oracle."""
+"""The sampling operator and the least-squares solver, against an SVD oracle
+of the weighted design matrix."""
 
 import math
 import tracemalloc
@@ -8,7 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import product_quadrature_grid, whole_table_analysis, whole_table_synthesis
+from conftest import (
+    product_quadrature_grid,
+    stacked_legendre,
+    whole_table_analysis,
+    whole_table_synthesis,
+)
 from spheredecon.filters import MultiplierFilter, cap_multipliers, identity_multipliers
 from spheredecon.forward import add_noise, sample_at, simulate
 from spheredecon.harmonics import (
@@ -17,14 +23,12 @@ from spheredecon.harmonics import (
     basis_matrix,
     block_slice,
     index_of,
-    normalized_legendre,
     num_coeffs,
     random_poly,
 )
 from spheredecon import reconstruct
 from spheredecon.reconstruct import (
     _operator,
-    design_matrix,
     filtered_singular_values,
     lsq_solve,
     solution_to_json,
@@ -35,6 +39,17 @@ from spheredecon.sphere_geometry import MzFamily, build_partition, pick_nodes
 THETA_41 = 2 * math.pi / 41
 
 
+def weighted_design(filt, fam, m):
+    """The weighted sampling matrix of the filtered basis, sqrt(tau_j) b_m'
+    Y_m'^ell(x_j), on the active columns, and their indices into the
+    degree-major layout: ``basis_matrix`` times sqrt(tau), scaled by the
+    column multipliers."""
+    bcol = reconstruct._column_multipliers(filt, fam, m)
+    cols = np.flatnonzero(bcol)
+    bw = basis_matrix(m, fam.nodes[:, 0], fam.nodes[:, 1]) * np.sqrt(fam.weights)[:, None]
+    return bw[:, cols] * bcol[cols], cols
+
+
 def svd_oracle(filt, fam, m, y):
     """Truncated-SVD pseudoinverse of the filtered design matrix (cutoff 1e-12).
 
@@ -42,7 +57,7 @@ def svd_oracle(filt, fam, m, y):
     One step of iterative refinement, x += pinv (ytil - mat x), takes the
     coefficients' rounding from about eps cond(mat) down to a few eps.
     """
-    mat, cols = design_matrix(filt, fam, m)
+    mat, cols = weighted_design(filt, fam, m)
     u, sv, vt = np.linalg.svd(mat, full_matrices=False)
     kept = sv > 1e-12 * sv[0]
     ytil = np.asarray(y) * np.sqrt(fam.weights)
@@ -85,7 +100,7 @@ def family():
 
 class TestDesignMatrix:
     def test_identity_degree_zero_column(self, family):
-        mat, cols = design_matrix(identity_multipliers(0), family, 0)
+        mat, cols = weighted_design(identity_multipliers(0), family, 0)
         assert mat.shape == (200, 1)
         np.testing.assert_allclose(mat[:, 0], np.sqrt(family.weights))
         assert np.sum(mat[:, 0] ** 2) == pytest.approx(1.0, abs=1e-12)
@@ -93,7 +108,7 @@ class TestDesignMatrix:
 
     def test_inactive_degree_dropped(self, family):
         b = np.array([1.0, 0.0, 1.0])
-        mat, cols = design_matrix(MultiplierFilter(b), family, 2)
+        mat, cols = weighted_design(MultiplierFilter(b), family, 2)
         assert mat.shape == (200, 6)  # degrees {0, 2}: 1 + 5 columns
         assert list(cols) == [0, 4, 5, 6, 7, 8]
 
@@ -101,19 +116,32 @@ class TestDesignMatrix:
         filt = cap_multipliers(0.5, 4)
         truth = random_poly(4, sigma=1.0, seed=0)
         ms = simulate(truth, filt, family, beta=0.0)
-        mat, cols = design_matrix(filt, family, 4)
+        mat, cols = weighted_design(filt, family, 4)
         predicted = mat @ truth.coeffs[cols]
         np.testing.assert_allclose(
             predicted, ms.y * np.sqrt(family.weights), rtol=1e-12, atol=1e-14
         )
 
     def test_all_zero_multipliers_rejected(self, family):
-        with pytest.raises(ValueError):
-            design_matrix(MultiplierFilter(np.zeros(3)), family, 2)
+        with pytest.raises(ValueError, match="all multipliers vanish"):
+            lsq_solve(MultiplierFilter(np.zeros(3)), family, 2, np.ones(200))
 
     def test_degree_beyond_filter_rejected(self, family):
-        with pytest.raises(ValueError):
-            design_matrix(identity_multipliers(2), family, 3)
+        with pytest.raises(ValueError, match="filter stores degrees up to 2"):
+            lsq_solve(identity_multipliers(2), family, 3, np.ones(200))
+
+    @pytest.mark.parametrize("rule", ["area_center", "random_in_region"])
+    def test_operator_rows_match_the_oracle(self, rule):
+        # the rows the SVD fallback takes: built from the ring factors on the
+        # ring path, the held B_w on the dense path
+        fam = pick_nodes(build_partition(200), rule=rule, seed=4)
+        filt = MultiplierFilter(np.array([1.0, 0.0, 0.5, 0.25, 2.0]))
+        op = _operator(fam, 4)
+        assert (op.rings is not None) == (rule == "area_center")
+        mat, cols = weighted_design(filt, fam, 4)
+        rows = reconstruct._filtered_rows(op, reconstruct._column_multipliers(filt, fam, 4))
+        assert rows.shape == (200, cols.size) == (200, 22)
+        np.testing.assert_allclose(rows, mat, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("m", [0, 3, 9])
     def test_column_multipliers_per_degree(self, family, m):
@@ -174,7 +202,7 @@ class TestLsqSolve:
         filt6 = cap_multipliers(0.5, 6)
         ms = simulate(truth, filt6, family, beta=1e-3, seed=4)
         report = lsq_solve(filt, family, 4, ms.y)
-        mat, cols = design_matrix(filt, family, 4)
+        mat, cols = weighted_design(filt, family, 4)
         ytil = ms.y * np.sqrt(family.weights)
         base = np.sum((mat @ report.solution.coeffs[cols] - ytil) ** 2)
         rng = np.random.default_rng(5)
@@ -268,7 +296,7 @@ class TestGramSolveAgainstSvd:
     def test_matches_oracle(self, case):
         filt, fam, m, y = case
         coeffs, sv, rank = svd_oracle(filt, fam, m, y)
-        unfiltered = np.linalg.svd(design_matrix(identity_multipliers(m), fam, m)[0],
+        unfiltered = np.linalg.svd(weighted_design(identity_multipliers(m), fam, m)[0],
                                    compute_uv=False)
         eps_svd = max(1 - unfiltered[-1] ** 2, unfiltered[0] ** 2 - 1)
         cond_g = (unfiltered[0] / unfiltered[-1]) ** 2 if unfiltered[-1] > 0 else math.inf
@@ -343,7 +371,7 @@ class TestGramSolveAgainstSvd:
         filt = MultiplierFilter(np.array([1.0, 1.0, 1e-8, 1.0, 1.0, 1.0]))
         report = lsq_solve(filt, family, 5, np.ones(200))
         filtered = filtered_singular_values(filt, family, 5)
-        mat, _ = design_matrix(filt, family, 5)
+        mat, _ = weighted_design(filt, family, 5)
         r = np.linalg.qr(mat, mode="r")
         sigma_min = 1.0 / np.linalg.norm(np.linalg.inv(r), 2)
         assert report.full_rank
@@ -363,7 +391,10 @@ class TestSamplingOperator:
         degrees = record_calls(monkeypatch, reconstruct, "basis_matrix", key=int)
         mz_constants(fam, 8)
         lsq_solve(cap_multipliers(THETA_41, 8), fam, 8, np.ones(300))
-        design_matrix(identity_multipliers(8), fam, 8)
+        # the SVD fallback takes its rows from the same operator
+        wide = MultiplierFilter(np.where(np.arange(9) == 2, 1e-13, 1.0))
+        lsq_solve(wide, fam, 8, np.ones(300))
+        assert not fam._operator.system.on_gram
         assert degrees == [8]
 
     @pytest.mark.parametrize("filt", [cap_multipliers(THETA_41, 8),
@@ -504,7 +535,7 @@ def ring_remainders(fam, m):
         gram_t = t.T @ t.copy()
         keep = ((k >= 0)[:, None] == (k >= 0)) & (
             ((a[:, None] - a) % on.size == 0) | ((a[:, None] + a) % on.size == 0))
-        col = c * np.sqrt(np.sum(normalized_legendre(m, theta)[0] ** 2, axis=0))[a]
+        col = c * np.sqrt(np.sum(stacked_legendre(m, theta)[0] ** 2, axis=0))[a]
         total += float(np.linalg.norm(np.where(keep, 0.0, gram_t) * np.outer(col, col)))
     return total
 
@@ -583,17 +614,17 @@ class TestRingOperator:
         # the polar rings alias at degree 16 (25 <= 32 nodes) and are held by
         # their aliasing pattern, the others by the diagonal: the ring path
         assert op.bw is None
-        q, ring_of, phis, sqrt_w = op.rings
-        assert q.shape[0] == np.unique(fam.nodes[:, 0]).size
+        colat, ring_of, phis, sqrt_w = op.rings
+        np.testing.assert_array_equal(colat, np.unique(fam.nodes[:, 0]))
         np.testing.assert_array_equal(phis, fam.nodes[:, 1])
         np.testing.assert_array_equal(sqrt_w, np.sqrt(fam.weights))
-        np.testing.assert_array_equal(np.unique(fam.nodes[:, 0])[ring_of], fam.nodes[:, 0])
+        np.testing.assert_array_equal(colat[ring_of], fam.nodes[:, 0])
         classes = parity_classes(16)
         assert [b.size for b in classes] == [81, 72, 72, 64]
         assert [sorted(b.tolist()) for b, _ in op.blocks] == [b.tolist() for b in classes]
         assert 0.0 < op.slack < 1e-12
-        rows, _ = design_matrix(identity_multipliers(16), fam, 16)
-        np.testing.assert_allclose(rows, dense_gram(fam, 16)[0], rtol=0, atol=1e-14)
+        rows, _ = weighted_design(identity_multipliers(16), fam, 16)
+        np.testing.assert_allclose(reconstruct._rows(op), rows, rtol=0, atol=1e-14)
         v = np.random.default_rng(40).standard_normal(1600)
         d = np.random.default_rng(41).standard_normal(num_coeffs(16))
         np.testing.assert_allclose(reconstruct._adjoint(op, v), rows.T @ v, rtol=0, atol=1e-12)
@@ -708,7 +739,7 @@ class TestRingOperator:
         lam = np.linalg.eigvalsh(gram)
         delta = np.finfo(float).eps * (len(fam.nodes) * np.trace(gram) + gram.shape[0] * lam[-1])
         assert (const.A, const.B) == (float(lam[0] - delta), float(lam[-1] + delta))
-        _, cols = design_matrix(filt, fam, m)
+        _, cols = weighted_design(filt, fam, m)
         scale = np.repeat(filt.b[: m + 1], 2 * np.arange(m + 1) + 1)[cols]
         ytil = y * np.sqrt(fam.weights)
         d = np.zeros(num_coeffs(m))
@@ -722,8 +753,9 @@ class TestRingOperator:
 def whole_table_ring_operator(fam, m):
     """The ring path of ``_operator`` over the whole (N, 2m+1) table of
     weighted azimuthal factors, each ring's rows gathered from it for its
-    trig Gram; the operator holds (Q per ring, the ring of each node, the
-    table), or None where the family leaves the ring path."""
+    trig Gram, and the stacked Legendre factors of the rings; the operator
+    holds (Q per ring, the ring of each node, the table), or None where the
+    family leaves the ring path."""
     eps = np.finfo(float).eps
     colat, ring_of, counts = np.unique(fam.nodes[:, 0], return_inverse=True, return_counts=True)
     if counts.min() < 2:
@@ -732,18 +764,18 @@ def whole_table_ring_operator(fam, m):
     starts = np.concatenate([[0], np.cumsum(counts)]).tolist()
     trig = _trig(m, fam.nodes[:, 1])
     trig *= np.sqrt(fam.weights)[:, None]
-    q = normalized_legendre(m, colat)
+    q = stacked_legendre(m, colat)
     k = np.arange(-m, m + 1)
     abs_k = np.abs(k)
     c = np.where(abs_k > 0, math.sqrt(2.0), 1.0)
     col = c * np.sqrt(np.sum(q**2, axis=1))[:, abs_k]
     same_side = (k >= 0)[:, None] == (k >= 0)
-    slack, diag, pairs = 0.0, [], []
+    slack, pairs = 0.0, []
     for i, ell in enumerate(counts.tolist()):
         period = min(ell, 2 * m + 1)
         keep = same_side & (((abs_k[:, None] - abs_k) % period == 0)
                             | ((abs_k[:, None] + abs_k) % period == 0))
-        j, jj = np.nonzero(np.triu(keep, 1))
+        j, jj = np.nonzero(np.triu(keep))
         t = trig[order[starts[i]:starts[i + 1]]]
         gram_t = t.T @ t.copy()
         off = np.where(keep, 0.0, gram_t)
@@ -751,9 +783,9 @@ def whole_table_ring_operator(fam, m):
             return None
         slack += float(np.linalg.norm(off * np.outer(col[i], col[i])))
         pairs.append((np.full(j.size, i), j, jj, c[j] * gram_t[j, jj] * c[jj]))
-        diag.append(c * c * gram_t.diagonal())
     pairs = tuple(np.concatenate(x) for x in zip(*pairs))
-    classes = reconstruct._class_blocks(m, q, np.array(diag), pairs, eps * len(fam.nodes))
+    qt = np.ascontiguousarray(q.transpose(2, 1, 0))
+    classes = reconstruct._class_blocks(m, qt, pairs, eps * len(fam.nodes))
     if classes is None:
         return None
     blocks, between = classes
@@ -816,5 +848,28 @@ class TestStreamedRingPath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert op.bw is None and all(arr.size != table for arr in op.rings)
+        # ring colatitudes, ring of each node, longitudes, sqrt(tau): O(N), no
+        # (N, 2m+1) table and no (m+1)^2 Legendre factors per ring
+        n, rings = len(fam.nodes), np.unique(fam.nodes[:, 0]).size
+        assert op.bw is None and [arr.shape for arr in op.rings] == [(rings,), (n,), (n,), (n,)]
         assert peak < table * 8 / 3
+
+    def test_adjoint_holds_no_ring_rows(self):
+        # each degree's ring rows are summed over the rings as they are made:
+        # the R (m+1)^2 table of them (30.5 MB here) is never formed, and what
+        # remains is O(N + R (2m+1)) plus the chunk buffers of the azimuthal
+        # factors (the class blocks are not needed, so none are built)
+        fam = pick_nodes(build_partition(66564))
+        m = 128
+        colat, ring_of = np.unique(fam.nodes[:, 0], return_inverse=True)
+        op = reconstruct._Operator(m, None, (colat, ring_of, fam.nodes[:, 1],
+                                             np.sqrt(fam.weights)), (), 0.0)
+        v = np.random.default_rng(11).standard_normal(len(fam.nodes))
+        reconstruct._adjoint(op, v)  # first-call allocations
+        tracemalloc.start()
+        try:
+            reconstruct._adjoint(op, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < colat.size * (m + 1) ** 2 * 8 / 4
