@@ -8,7 +8,8 @@ matrix B_w, measured here by dense eigensolves of the blocks the sampling
 operator holds G in (on the ring path its four classes, cosine or sine side
 times the parity of n - |k|, built from the ring factors: the ring
 colatitudes, the ring of each node, phi and sqrt(tau); on the dense path G
-whole).  The reported A and B are widened by
+whole; the operator computes eigvalsh(G) once and keeps it).  The reported
+A and B are widened by
 delta = eps * (N trace G + (m+1)^2 lambda_max) + remainder + off-block, eps
 the machine epsilon.  The first term bounds the rounding error of forming G,
 each entry a sum of at most N products whichever way the rings and rows are
@@ -37,7 +38,7 @@ import numpy as np
 from .filters import MultiplierFilter
 from .forward import apply_multiplier
 from .harmonics import CoefficientVector, embed, num_coeffs, sobolev_norm
-from .reconstruct import _gram_eigenvalues, _operator
+from .reconstruct import _operator
 from .sphere_geometry import EqualAreaPartition, MzFamily, build_partition, pick_nodes
 
 __all__ = [
@@ -83,7 +84,7 @@ def mz_constants(fam: MzFamily, m: int) -> MzConstants:
             f"need at least {dim} nodes to certify degree {m}, got {len(fam.nodes)}"
         )
     op = _operator(fam, m)
-    lam = _gram_eigenvalues(fam, m)
+    lam = op.lam
     trace = sum(np.trace(g) for _, g in op.blocks)
     delta = np.finfo(float).eps * (len(fam.nodes) * trace + dim * lam[-1]) + op.slack
     a, b = float(lam[0] - delta), float(lam[-1] + delta)

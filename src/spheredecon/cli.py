@@ -513,7 +513,7 @@ def main(argv: Optional[list] = None) -> int:
         json.dump({"error": str(exc), "type": "config"}, sys.stderr, sort_keys=True)
         sys.stderr.write("\n")
         return 2
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, ArithmeticError, MemoryError) as exc:
         json.dump(
             {"error": str(exc), "type": type(exc).__name__}, sys.stderr, sort_keys=True
         )

@@ -13,23 +13,22 @@ cond G <= (1+eps)/(1-eps) for an MZ family, far from squaring the
 ill-conditioning that the multipliers add.  A solve is one linear solve of
 the active block of G; it computes no spectrum.
 
-B_w and G are the sampling operator of one (family, degree) pair, and
-eigvalsh(G) is added to it on first need (frame constants, or a solve with
-every degree active).  ``_operator`` builds them once and keeps them on the
-family, so the frame constants (certify.mz_constants) and every solve of
-that pair share one basis build and at most one eigensolve; the path gate
-of the last filter (below) is kept with them, so a solve and the singular
-values of the same filter share it too.  The operator takes one of two
-paths, picked from the family.  On the ring path (every colatitude ring
-keeps its aliasing pattern and the rings are mirror-symmetric, as with
-area-center nodes) it forms neither B_w nor G whole: it holds the ring
-factors (O(N): the ring colatitudes, the ring of each node, the longitudes
-and sqrt(tau)), applied by per-ring synthesis and analysis, which step the
-Legendre factors from the ring colatitudes degree by degree and make the
-weighted azimuthal factors chunk by chunk, and G as four blocks, cosine or
-sine side times the parity of n - |k|, built order pair by order pair;
-every solve and eigensolve then runs per block.  On the dense path (every
-other family) it holds B_w and G = B_w^T B_w as one block.
+B_w and G are the sampling operator of one (family, degree) pair.
+``_operator`` builds it once and keeps it in the family's one slot, so the
+frame constants (certify.mz_constants) and every solve of that pair share
+one basis build.  The operator keeps what it computes later: eigvalsh(G) on
+first read, and the path gate of the last filter (below), so the solve and
+the singular values of one filter share one eigensolve or SVD.  It takes
+one of two paths, picked from the family.  On the ring path (every
+colatitude ring keeps its aliasing pattern and the rings are
+mirror-symmetric, as with area-center nodes) it forms neither B_w nor G
+whole: it holds the ring factors (O(N): the ring colatitudes, the ring of
+each node, the longitudes and sqrt(tau)), applied by per-ring synthesis and
+analysis, which step the Legendre factors from the ring colatitudes degree
+by degree and make the weighted azimuthal factors chunk by chunk, and G as
+four blocks, cosine or sine side times the parity of n - |k|, built order
+pair by order pair; every solve and eigensolve then runs per block.  On the
+dense path (every other family) it holds B_w and G = B_w^T B_w as one block.
 
 The SVD pseudoinverse of the filtered matrix, with relative cutoff 1e-12,
 runs instead when G is singular to half the working precision or when the
@@ -44,9 +43,10 @@ ones) and of D^{-1} G^{-1} D^{-1} (small ones), each where it is accurate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -88,7 +88,7 @@ def active_degrees(filt: MultiplierFilter, m: int) -> tuple:
     return tuple(int(d) for d in range(m + 1) if filt.b[d] != 0.0)
 
 
-class _Operator(NamedTuple):
+class _Operator:
     """The sampling operator B_w of one (family, degree) pair.
 
     On the ring path (``_operator``) it holds the ring factors (the ring
@@ -99,17 +99,24 @@ class _Operator(NamedTuple):
     parity classes on the ring path, one block on the dense path.  slack
     bounds the spectral norm of what the blocks leave out of G (ring
     remainders and the entries between the parity classes; 0 on the dense
-    path), which the frame constants add to their rounding margin.  system
-    is the path gate of the last filter solved with (``_active_system``).
+    path), which the frame constants add to their rounding margin.  These
+    arrays are made read-only here.  lam, the read-only ascending
+    eigvalsh(G), is computed on first read; system is the path gate of the
+    last filter solved with (``_active_system``).
     """
 
-    m: int
-    bw: Optional[np.ndarray]
-    rings: Optional[tuple]
-    blocks: tuple
-    slack: float
-    lam: Optional[np.ndarray] = None
-    system: Optional[tuple] = None
+    def __init__(self, m: int, bw: Optional[np.ndarray], rings: Optional[tuple],
+                 blocks: tuple, slack: float):
+        for arr in (*(rings or (bw,)), *(a for block in blocks for a in block)):
+            arr.flags.writeable = False
+        self.m, self.bw, self.rings, self.blocks, self.slack = m, bw, rings, blocks, slack
+        self.system: Optional[_System] = None
+
+    @functools.cached_property
+    def lam(self) -> np.ndarray:
+        lam = _block_eigenvalues([g for _, g in self.blocks])
+        lam.flags.writeable = False
+        return lam
 
 
 def _operator(fam: MzFamily, m: int) -> _Operator:
@@ -144,13 +151,17 @@ def _operator(fam: MzFamily, m: int) -> _Operator:
     entries left out).  Dense path, every other family (scattered nodes):
     B_w and one block G = B_w^T B_w, slack 0.
 
-    The family keeps the last degree's operator in its one slot, with
-    eigvalsh(G) added when ``_gram_eigenvalues`` first needs it and the path
-    gate of the last filter (``_active_system``); a call at another degree
-    replaces it.
+    The family keeps the last degree's operator in its one slot, written
+    here only, once per build; a call at another degree replaces it.
     """
     if fam._operator is None or fam._operator.m != m:
-        object.__setattr__(fam, "_operator", _build_operator(fam, m))
+        op = _ring_operator(fam, m)
+        if op is None:
+            bw = basis_matrix(m, fam.nodes[:, 0], fam.nodes[:, 1])
+            bw *= np.sqrt(fam.weights)[:, None]
+            gram = bw.T @ bw
+            op = _Operator(m, bw, None, ((np.arange(gram.shape[0]), gram),), 0.0)
+        object.__setattr__(fam, "_operator", op)
     return fam._operator
 
 
@@ -170,18 +181,6 @@ def _class_columns(m: int):
             sizes = [0] * s + [len(range(a + p, m + 1, 2)) for a in range(s, m + 1)]
             off.append(np.concatenate([[0], np.cumsum(sizes)]).tolist())
     return cols, off
-
-
-def _build_operator(fam: MzFamily, m: int) -> _Operator:
-    op = _ring_operator(fam, m)
-    if op is None:
-        bw = basis_matrix(m, fam.nodes[:, 0], fam.nodes[:, 1])
-        bw *= np.sqrt(fam.weights)[:, None]
-        gram = bw.T @ bw
-        op = _Operator(m, bw, None, ((np.arange(gram.shape[0]), gram),), 0.0)
-    for arr in (*(op.rings or (op.bw,)), *(a for block in op.blocks for a in block)):
-        arr.flags.writeable = False
-    return op
 
 
 def _ring_operator(fam: MzFamily, m: int) -> Optional[_Operator]:
@@ -259,16 +258,6 @@ def _class_blocks(m: int, qt: np.ndarray, pairs: tuple, eps_n: float):
     return tuple((b, g) for b, g in zip(cols, gram) if b.size), between
 
 
-def _gram_eigenvalues(fam: MzFamily, m: int) -> np.ndarray:
-    """Read-only ascending eigvalsh(G) of the family at degree m, kept in its slot."""
-    op = _operator(fam, m)
-    if op.lam is None:
-        lam = _block_eigenvalues([g for _, g in op.blocks])
-        lam.flags.writeable = False
-        object.__setattr__(fam, "_operator", op._replace(lam=lam))
-    return fam._operator.lam
-
-
 def _block_eigenvalues(blocks) -> np.ndarray:
     """Ascending eigenvalues of the block-diagonal matrix of the given blocks."""
     return np.sort(np.concatenate([np.linalg.eigvalsh(g) for g in blocks]))
@@ -304,75 +293,65 @@ def _column_multipliers(filt: MultiplierFilter, fam: MzFamily, m: int) -> np.nda
     return bcol
 
 
-class _System(NamedTuple):
+class _System:
     """The path gate of one filter on the operator (``_active_system``).
 
-    bcol holds the column multipliers, blocks the (b, G[b, b]) pairs of G
-    restricted to the active columns, lam their eigenvalues.  on_gram says
-    whether the normal equations stand for the SVD with relative cutoff
-    1e-12 (see the module docstring); off it, svd is that SVD, (U, sigma,
-    V^T) of the filtered matrix, once one of its users has taken it.
+    bcol holds the column multipliers and lam the ascending eigenvalues of G
+    restricted to the active columns (op.lam when every column is active).
+    on_gram says whether the normal equations stand for the SVD with relative
+    cutoff 1e-12 (see the module docstring).  The restricted blocks of G are
+    made on demand, and that SVD is taken once, on first need.  The methods
+    take the operator rather than keep it: the operator holds the gate, and
+    a gate holding the operator would make a reference cycle.
     """
 
-    bcol: np.ndarray
-    blocks: list
-    lam: np.ndarray
-    on_gram: bool
-    svd: Optional[tuple] = None
+    def __init__(self, op: _Operator, bcol: np.ndarray):
+        self.bcol, self._svd = bcol, None
+        self.lam = op.lam if np.all(bcol != 0.0) else _block_eigenvalues(
+            [g for _, g in self.blocks(op)])
+        scale = np.abs(bcol[bcol != 0.0])
+        spread = np.max(scale) / np.min(scale)
+        self.on_gram = bool(self.lam[0] > _GRAM_RCOND * self.lam[-1]
+                            and np.sqrt(self.lam[0] / self.lam[-1]) > _SVD_RCOND * spread)
+
+    def blocks(self, op: _Operator):
+        """(b, G[b, b]) over the blocks of G restricted to the active columns:
+        G's own block where all its columns are active, else a copy."""
+        for b, g in op.blocks:
+            act = self.bcol[b] != 0.0
+            if act.all():
+                yield b, g
+            elif act.any():
+                yield b[act], g[np.ix_(act, act)]
+
+    def rows(self, op: _Operator) -> np.ndarray:
+        """The filtered matrix B_w D on the active columns."""
+        cols = np.flatnonzero(self.bcol)
+        return _rows(op)[:, cols] * self.bcol[None, cols]
+
+    def svd(self, op: _Operator, rows: Optional[np.ndarray] = None) -> tuple:
+        """Read-only (U, sigma, V^T) of the filtered matrix (rows, made here if
+        not given), taken once."""
+        if self._svd is None:
+            self._svd = np.linalg.svd(self.rows(op) if rows is None else rows,
+                                      full_matrices=False)
+            for arr in self._svd:
+                arr.flags.writeable = False
+        return self._svd
 
 
-def _active_system(filt: MultiplierFilter, fam: MzFamily, m: int) -> _System:
-    """The path gate of the filter at degree m, kept in the operator's slot.
+def _active_system(filt: MultiplierFilter, fam: MzFamily, m: int) -> tuple:
+    """The operator of the family at degree m and the path gate of the filter on it.
 
-    The solve and ``filtered_singular_values`` of one filter share it, so
-    its eigensolve (or SVD) runs once; another filter replaces it.
+    The operator keeps the gate, so the solve and ``filtered_singular_values``
+    of one filter share it and its eigensolve (or SVD) runs once; another
+    filter replaces it.
     """
     bcol = _column_multipliers(filt, fam, m)
     op = _operator(fam, m)
-    if op.system is not None and np.array_equal(op.system.bcol, bcol):
-        return op.system
-    blocks = []
-    for b, g in op.blocks:
-        act = bcol[b] != 0.0
-        if act.all():
-            blocks.append((b, g))
-        elif act.any():
-            blocks.append((b[act], g[np.ix_(act, act)]))
-    if np.all(bcol != 0.0):
-        lam = _gram_eigenvalues(fam, m)
-    else:
-        lam = _block_eigenvalues([g for _, g in blocks])
-    scale = np.abs(bcol[bcol != 0.0])
-    spread = np.max(scale) / np.min(scale)
-    on_gram = bool(
-        lam[0] > _GRAM_RCOND * lam[-1] and np.sqrt(lam[0] / lam[-1]) > _SVD_RCOND * spread
-    )
-    return _keep_system(fam, _System(bcol, blocks, lam, on_gram))
-
-
-def _keep_system(fam: MzFamily, system: _System) -> _System:
-    """Keep the path gate in the operator's slot, read-only like the operator."""
-    for arr in (system.bcol, system.lam, *(a for block in system.blocks for a in block),
-                *(system.svd or ())):
-        arr.flags.writeable = False
-    object.__setattr__(fam, "_operator", fam._operator._replace(system=system))
-    return system
-
-
-def _filtered_rows(op: _Operator, bcol: np.ndarray) -> np.ndarray:
-    """The filtered matrix B_w D on the active columns."""
-    cols = np.flatnonzero(bcol)
-    return _rows(op)[:, cols] * bcol[None, cols]
-
-
-def _filtered_svd(fam: MzFamily, system: _System, mat: Optional[np.ndarray] = None) -> tuple:
-    """(U, sigma, V^T) of the filtered matrix mat (built here if not given),
-    taken once per path gate."""
-    if system.svd is None:
-        if mat is None:
-            mat = _filtered_rows(fam._operator, system.bcol)
-        system = _keep_system(fam, system._replace(svd=np.linalg.svd(mat, full_matrices=False)))
-    return system.svd
+    if op.system is None or not np.array_equal(op.system.bcol, bcol):
+        op.system = _System(op, bcol)
+    return op, op.system
 
 
 def lsq_solve(
@@ -392,15 +371,15 @@ def lsq_solve(
         raise ValueError("y must have one entry per node")
     if not np.all(np.isfinite(y)):
         raise ValueError("y must be finite")
-    system = _active_system(filt, fam, m)
-    bcol, op = system.bcol, fam._operator
+    op, system = _active_system(filt, fam, m)
+    bcol = system.bcol
     cols = np.flatnonzero(bcol)
     ytil = y * np.sqrt(fam.weights)
     coeffs = np.zeros(num_coeffs(m))
     if system.on_gram:
         d = np.zeros(num_coeffs(m))
         rhs = _adjoint(op, ytil)
-        for b, g in system.blocks:
+        for b, g in system.blocks(op):
             d[b] = np.linalg.solve(g, rhs[b])
         coeffs[cols] = d[cols] / bcol[cols]
         residual = float(np.linalg.norm(_apply(op, d) - ytil))
@@ -409,8 +388,8 @@ def lsq_solve(
         # value is lambda_min(G_act).
         solved, lower = d, system.lam[0]
     else:
-        mat = _filtered_rows(op, bcol)
-        u, sv, vt = _filtered_svd(fam, system, mat)
+        mat = system.rows(op)
+        u, sv, vt = system.svd(op, mat)
         cutoff = _SVD_RCOND * sv[0] if sv[0] > 0 else 0.0
         kept = sv > cutoff
         rank = int(kept.sum())
@@ -446,11 +425,11 @@ def filtered_singular_values(filt: MultiplierFilter, fam: MzFamily, m: int) -> n
     eps / sigma_min^2, each taken per block of G (D is diagonal); elsewhere
     from an SVD of B_w D.
     """
-    system = _active_system(filt, fam, m)
+    op, system = _active_system(filt, fam, m)
     if not system.on_gram:
-        return _filtered_svd(fam, system)[1]
+        return system.svd(op)[1]
     big, inv_big = [], []
-    for b, g in system.blocks:
+    for b, g in system.blocks(op):
         scale = system.bcol[b]
         inv_scale = 1.0 / scale
         big.append(scale[:, None] * g * scale[None, :])

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:  # reconstruct imports this module
+    from .reconstruct import _Operator
 
 __all__ = [
     "SpherePoint",
@@ -296,7 +299,7 @@ class MzFamily:
 
     nodes: np.ndarray
     weights: np.ndarray
-    _operator: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    _operator: Optional[_Operator] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         nodes = np.array(self.nodes, dtype=float)

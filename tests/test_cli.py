@@ -415,6 +415,35 @@ class TestExperimentFlags:
         assert not (tmp_path / "curve.csv").exists()
 
 
+class TestArithmeticAndMemoryErrors:
+    """An overflow or an exhausted allocation exits 1 with one JSON error, no traceback."""
+
+    def test_certify_overflow(self, tmp_path, capsys):
+        filt, cert = tmp_path / "f2.json", tmp_path / "c.json"
+        run(["filter", "--kind", "identity", "--m-max", 2, "--out", filt], capsys)
+        code, _, err = run(
+            ["certify", "--filter", filt, "--n", 100, "--m", 3, "--omega", "1e300",
+             "--gamma", 0, "--zeta", 560, "--beta", 0.01, "--norm-f-sigma", 1, "--out", cert],
+            capsys,
+        )
+        assert code == 1
+        assert json.loads(err)["type"] == "OverflowError"
+        assert not cert.exists()
+
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        # commands are looked up by name, so the patched one runs and nothing
+        # is allocated
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 14.9 GiB")
+
+        monkeypatch.setattr(cli, "_cmd_nodes", exhausted)
+        out = tmp_path / "x.csv"
+        code, _, err = run(["nodes", "--n", 2000000000, "--out", out], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "Unable to allocate 14.9 GiB", "type": "MemoryError"}
+        assert not out.exists()
+
+
 class TestDeeplyNestedJson:
     """A JSON file nested deeper than the recursion limit is reported like
     any other malformed file: a config error naming it."""

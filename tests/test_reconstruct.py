@@ -1,6 +1,7 @@
 """The sampling operator and the least-squares solver, against an SVD oracle
 of the weighted design matrix."""
 
+import gc
 import math
 import tracemalloc
 
@@ -136,10 +137,10 @@ class TestDesignMatrix:
         # ring path, the held B_w on the dense path
         fam = pick_nodes(build_partition(200), rule=rule, seed=4)
         filt = MultiplierFilter(np.array([1.0, 0.0, 0.5, 0.25, 2.0]))
-        op = _operator(fam, 4)
+        op, system = reconstruct._active_system(filt, fam, 4)
         assert (op.rings is not None) == (rule == "area_center")
         mat, cols = weighted_design(filt, fam, 4)
-        rows = reconstruct._filtered_rows(op, reconstruct._column_multipliers(filt, fam, 4))
+        rows = system.rows(op)
         assert rows.shape == (200, cols.size) == (200, 22)
         np.testing.assert_allclose(rows, mat, rtol=0, atol=1e-14)
 
@@ -419,7 +420,7 @@ class TestSamplingOperator:
         first = mz_constants(fam, 4)
         degrees = record_calls(monkeypatch, reconstruct, "basis_matrix", key=int)
         mz_constants(fam, 6)
-        assert fam._operator[0] == 6
+        assert fam._operator.m == 6
         again = mz_constants(fam, 4)
         mz_constants(fam, 4)
         assert degrees == [6, 4]
@@ -451,7 +452,7 @@ class TestSamplingOperator:
         lsq_solve(partly, fresh, 4, y)
         # a fresh family: the path gate needs eigvalsh(G_act) only, never G's
         assert shapes == [(22, 22)]
-        assert fresh._operator.lam is None
+        assert "lam" not in vars(fresh._operator)  # not yet computed
         fam = scattered_family()
         mz_constants(fam, 4)
         assert shapes == [(22, 22), (25, 25)]
@@ -461,6 +462,58 @@ class TestSamplingOperator:
         assert shapes == []
         lsq_solve(partly, fam, 4, y)
         assert shapes == [(22, 22)]
+
+    @pytest.mark.parametrize("rule, m", [("area_center", 5), ("random_in_region", 8)])
+    def test_one_operator_object_per_build(self, rule, m):
+        fam = pick_nodes(build_partition(300), rule=rule, seed=4)
+        mz_constants(fam, m)
+        op = fam._operator
+        wide = MultiplierFilter(np.where(np.arange(m + 1) == 2, 1e-13, 1.0))
+        for filt in (cap_multipliers(THETA_41, m), wide):
+            lsq_solve(filt, fam, m, np.ones(300))
+            filtered_singular_values(filt, fam, m)
+            assert fam._operator is op
+        # the SVD path's gate and SVD are kept on the same operator
+        assert not op.system.on_gram
+        assert filtered_singular_values(wide, fam, m) is op.system.svd(op)[1]
+
+    def test_partly_active_gate_holds_no_block(self):
+        fam = scattered_family()
+        lsq_solve(MultiplierFilter(np.array([1.0, 0.0, 1.0, 0.5, 0.25])), fam, 4, np.ones(300))
+        system = fam._operator.system
+        assert system.on_gram
+
+        def arrays(obj):
+            """The numpy arrays obj holds, through tuples, lists and attributes."""
+            if isinstance(obj, np.ndarray):
+                return [obj]
+            if isinstance(obj, (tuple, list)):
+                return [a for item in obj for a in arrays(item)]
+            return [a for item in getattr(obj, "__dict__", {}).values() for a in arrays(item)]
+
+        assert [a.ndim for a in arrays(system)] == [1, 1]  # bcol and lam
+
+    def test_pass_leaves_no_reference_cycle(self):
+        # the operator holds the gate and the gate never holds the operator,
+        # so every family, operator and gate is freed by its reference count
+        def one_pass():
+            for rule, m in (("area_center", 5), ("random_in_region", 8)):
+                fam = pick_nodes(build_partition(300), rule=rule, seed=4)
+                mz_constants(fam, m)
+                for filt in (cap_multipliers(THETA_41, m),
+                             MultiplierFilter(np.r_[1.0, 0.0, np.ones(m - 1)]),
+                             MultiplierFilter(np.where(np.arange(m + 1) == 2, 1e-13, 1.0))):
+                    lsq_solve(filt, fam, m, np.ones(300))
+                    filtered_singular_values(filt, fam, m)
+
+        gc.collect()
+        gc.disable()
+        try:
+            one_pass()
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
 
     @pytest.mark.parametrize("n, rule, m, cubic", [
         (300, "random_in_region", 4,
