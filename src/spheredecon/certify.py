@@ -4,12 +4,21 @@ A sampling family is Marcinkiewicz-Zygmund for degree m when the weighted
 sum of squared samples of every polynomial of degree <= m stays between
 A ||q||^2 and B ||q||^2 with 0 < A <= 1 <= B.  Those extreme ratios are the
 extreme eigenvalues of the Gram matrix G = B_w^T B_w of the weighted sampling
-matrix B_w, measured here by dense eigensolves of the blocks the sampling
-operator holds G in (on the ring path its four classes, cosine or sine side
-times the parity of n - |k|, built from the ring factors: the ring
-colatitudes, the ring of each node, phi and sqrt(tau); on the dense path G
-whole; the operator computes eigvalsh(G) once and keeps it).  The reported
-A and B are widened by
+matrix B_w, taken from the blocks the sampling operator holds G in (the
+operator computes them once and keeps them).  On the dense path G is one
+block and they are the extremes of its dense eigensolve.  On the ring path G
+is held as four classes, cosine or sine side times the parity of n - |k|,
+built from the ring factors (the ring colatitudes, the ring of each node,
+phi and sqrt(tau)); each class splits into order blocks, one per order |k|,
+coupled only through the aliasing rings of at most 2m nodes.  By the block
+Gershgorin theorem (Feingold & Varga, "Block diagonally dominant matrices
+and generalizations of the Gerschgorin circle theorem", Pacific J. Math.
+12, 1962) the spectrum lies in [min_i (lambda_min(G_ii) - R_i),
+max_i (lambda_max(G_ii) + R_i)], R_i the sum of the Frobenius norms of the
+order block's couplings; that enclosure is taken where it widens the
+extremes of the order blocks by at most eps N trace G, and the extremes of
+the dense eigensolves of the four classes elsewhere.  The reported A and B
+are widened by
 delta = eps * (N trace G + (m+1)^2 lambda_max) + remainder + off-block, eps
 the machine epsilon.  The first term bounds the rounding error of forming G,
 each entry a sum of at most N products whichever way the rings and rows are
@@ -72,9 +81,13 @@ def mz_constants(fam: MzFamily, m: int) -> MzConstants:
 
     The sampled energy ratio sum_j tau_j |q(x_j)|^2 / ||q||_2^2 ranges exactly
     over [A, B] as q runs over the nonzero polynomials of degree <= m; the
-    reported A and B enclose the computed range by the margin delta of the
-    module docstring (rounding, ring remainders and the entries between the
-    parity classes of G).
+    computed range is the extremes of G's dense eigensolve, or on the ring
+    path the block Gershgorin enclosure of its order blocks (Feingold &
+    Varga, 1962) where that margin stays within eps N trace G and the
+    extremes of its four class blocks elsewhere.  The reported A and B
+    enclose that range by the margin delta of the module docstring
+    (rounding, ring remainders and the entries between the parity classes
+    of G).
     """
     if m < 0:
         raise ValueError("degree must be >= 0")

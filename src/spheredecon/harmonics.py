@@ -151,7 +151,9 @@ def _trig(m_max: int, phis, out=None, scale=None) -> np.ndarray:
     if m_max == 0:
         return trig
     # row j of cos / sin holds order j + 1
-    cos, sin, tmp = np.empty((3, m_max, min(phis.size, _TRIG_CHUNK)))
+    width = min(phis.size, _TRIG_CHUNK)
+    cos, sin = np.empty((2, m_max, width))
+    tmp = np.empty((m_max // 2, width))  # n = min(k, m_max - k) <= m_max / 2 rows
     for lo in range(0, phis.size, _TRIG_CHUNK):
         phi = phis[lo : lo + _TRIG_CHUNK]
         c, s, t = cos[:, : phi.size], sin[:, : phi.size], tmp[:, : phi.size]

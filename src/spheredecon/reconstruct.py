@@ -16,19 +16,25 @@ the active block of G; it computes no spectrum.
 B_w and G are the sampling operator of one (family, degree) pair.
 ``_operator`` builds it once and keeps it in the family's one slot, so the
 frame constants (certify.mz_constants) and every solve of that pair share
-one basis build.  The operator keeps what it computes later: eigvalsh(G) on
-first read, and the path gate of the last filter (below), so the solve and
-the singular values of one filter share one eigensolve or SVD.  It takes
-one of two paths, picked from the family.  On the ring path (every
-colatitude ring keeps its aliasing pattern and the rings are
-mirror-symmetric, as with area-center nodes) it forms neither B_w nor G
-whole: it holds the ring factors (O(N): the ring colatitudes, the ring of
-each node, the longitudes and sqrt(tau)), applied by per-ring synthesis and
-analysis, which step the Legendre factors from the ring colatitudes degree
-by degree and make the weighted azimuthal factors chunk by chunk, and G as
-four blocks, cosine or sine side times the parity of n - |k|, built order
-pair by order pair; every solve and eigensolve then runs per block.  On the
-dense path (every other family) it holds B_w and G = B_w^T B_w as one block.
+one basis build.  The operator keeps what it computes later: the extremes
+of G's spectrum on first read, and the path gate of the last filter
+(below), so the solve and the singular values of one filter share one
+eigensolve or SVD.  It takes one of two paths, picked from the family.  On
+the ring path (every colatitude ring keeps its aliasing pattern and the
+rings are mirror-symmetric, as with area-center nodes) it forms neither B_w
+nor G whole: it holds the ring factors (O(N): the ring colatitudes, the
+ring of each node, the longitudes and sqrt(tau)), applied by per-ring
+synthesis and analysis, which step the Legendre factors from the ring
+colatitudes degree by degree and make the weighted azimuthal factors chunk
+by chunk, and G as four blocks, cosine or sine side times the parity of
+n - |k|, built order pair by order pair; every solve and eigensolve then
+runs per block.  The extremes of G's spectrum come there from the order
+blocks inside the class blocks, widened by their block Gershgorin margin
+(Feingold & Varga, Pacific J. Math. 12, 1962) where that margin stays
+within the rounding budget eps N trace G, and from the class blocks
+elsewhere.  On the dense path (every
+other family) it holds B_w and G = B_w^T B_w as one block, and the extremes
+are those of eigvalsh(G).
 
 The SVD pseudoinverse of the filtered matrix, with relative cutoff 1e-12,
 runs instead when G is singular to half the working precision or when the
@@ -100,9 +106,10 @@ class _Operator:
     bounds the spectral norm of what the blocks leave out of G (ring
     remainders and the entries between the parity classes; 0 on the dense
     path), which the frame constants add to their rounding margin.  These
-    arrays are made read-only here.  lam, the read-only ascending
-    eigvalsh(G), is computed on first read; system is the path gate of the
-    last filter solved with (``_active_system``).
+    arrays are made read-only here.  lam, the read-only (lower, upper)
+    bounds on G's spectrum (``_gram_extremes``), is computed on first read;
+    system is the path gate of the last filter solved with
+    (``_active_system``).
     """
 
     def __init__(self, m: int, bw: Optional[np.ndarray], rings: Optional[tuple],
@@ -114,9 +121,7 @@ class _Operator:
 
     @functools.cached_property
     def lam(self) -> np.ndarray:
-        lam = _block_eigenvalues([g for _, g in self.blocks])
-        lam.flags.writeable = False
-        return lam
+        return _gram_extremes(self, self.blocks)
 
 
 def _operator(fam: MzFamily, m: int) -> _Operator:
@@ -148,8 +153,11 @@ def _operator(fam: MzFamily, m: int) -> _Operator:
     ring factors (O(N): ring colatitudes, ring of each node, longitudes,
     sqrt(tau)) and the four class blocks, and slack is the sum of the ring
     remainders and max ||P|| (Weyl: it bounds the spectral norm of the
-    entries left out).  Dense path, every other family (scattered nodes):
-    B_w and one block G = B_w^T B_w, slack 0.
+    entries left out).  Its lam is taken from the order blocks of the class
+    blocks and their block Gershgorin margin, or from the class blocks where
+    that margin passes eps N trace G (``_gram_extremes``).  Dense path,
+    every other family (scattered nodes): B_w and one block
+    G = B_w^T B_w, slack 0, and lam from eigvalsh(G).
 
     The family keeps the last degree's operator in its one slot, written
     here only, once per build; a call at another degree replaces it.
@@ -243,7 +251,8 @@ def _class_blocks(m: int, qt: np.ndarray, pairs: tuple, eps_n: float):
         # columns n' = |k'|.., the even offsets in parity class 0 and the odd
         # ones in class 1; its entries between the parities only add to P
         s, a, b, r = int(j[lo] < m), abs(int(j[lo]) - m), abs(int(jj[lo]) - m), ring[lo:hi]
-        blk = (qt[a, a:][:, r] * w[lo:hi]) @ qt[b, b:][:, r].T
+        left = qt[a, a:][:, r]
+        blk = (left * w[lo:hi]) @ (left if a == b else qt[b, b:][:, r]).T
         o0, o1 = off[2 * s], off[2 * s + 1]
         gram[2 * s][o0[a]:o0[a + 1], o0[b]:o0[b + 1]] = blk[0::2, 0::2]
         gram[2 * s + 1][o1[a]:o1[a + 1], o1[b]:o1[b + 1]] = blk[1::2, 1::2]
@@ -261,6 +270,71 @@ def _class_blocks(m: int, qt: np.ndarray, pairs: tuple, eps_n: float):
 def _block_eigenvalues(blocks) -> np.ndarray:
     """Ascending eigenvalues of the block-diagonal matrix of the given blocks."""
     return np.sort(np.concatenate([np.linalg.eigvalsh(g) for g in blocks]))
+
+
+def _block_gershgorin(blocks) -> tuple:
+    """Block Gershgorin enclosure of the spectrum of the symmetric
+    block-diagonal matrix of the given (g, starts), each g split at starts
+    into blocks g_ij: (lower, upper, block_lower, block_upper).
+
+    Every eigenvalue lies within R_i = sum_{j != i} ||g_ij||_2 of the
+    spectrum of some g_ii (Feingold & Varga, "Block diagonally dominant
+    matrices and generalizations of the Gerschgorin circle theorem", Pacific
+    J. Math. 12, 1962); the Frobenius norm stands in for ||g_ij||_2, which it
+    never undercuts.  So lower = min_i (lambda_min(g_ii) - R_i) and upper =
+    max_i (lambda_max(g_ii) + R_i), while block_lower and block_upper are the
+    extremes of the g_ii alone.  All g_ii are solved in one eigvalsh call,
+    each padded to the largest size with copies of its first diagonal entry,
+    which lies in its spectrum and so leaves its extremes as they are.
+    """
+    diag, radii = [], []
+    for g, starts in blocks:
+        norms = np.sqrt(np.add.reduceat(np.add.reduceat(g * g, starts, axis=0), starts, axis=1))
+        np.fill_diagonal(norms, 0.0)
+        radii.append(norms.sum(axis=1))
+        bounds = np.append(starts, g.shape[0]).tolist()
+        diag += [g[lo:hi, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    sizes = np.array([d.shape[0] for d in diag])
+    size = int(sizes.max())
+    stack = np.zeros((sizes.size, size, size))
+    for out, d in zip(stack, diag):
+        out[: d.shape[0], : d.shape[0]] = d
+    diagonal = stack.reshape(sizes.size, -1)[:, :: size + 1]  # a view of each diagonal
+    diagonal[np.arange(size) >= sizes[:, None]] = np.repeat(diagonal[:, 0], size - sizes)
+    lam = np.linalg.eigvalsh(stack)
+    radii = np.concatenate(radii)
+    return (float(np.min(lam[:, 0] - radii)), float(np.max(lam[:, -1] + radii)),
+            float(lam[:, 0].min()), float(lam[:, -1].max()))
+
+
+def _gram_extremes(op: _Operator, blocks) -> np.ndarray:
+    """Read-only (lower, upper) bounds on the spectrum of the block-diagonal
+    matrix of the given blocks (b, G[b, b]) of the operator's G.
+
+    Dense path: the extremes of eigvalsh of its one block.  Ring path: a
+    class block is order-major, so the columns of one order |k| make a run
+    and the block splits into order blocks, coupled only through the
+    aliasing rings of at most 2m nodes.  Their ``_block_gershgorin``
+    enclosure is taken where it widens the extremes of the order blocks by
+    at most eps N trace G, the rounding budget ``_class_blocks`` gives the
+    parity coupling; elsewhere the extremes of eigvalsh of the class blocks.
+    """
+    blocks = list(blocks)
+    lam = None
+    if op.rings is not None:
+        degree, runs = _degrees(op.m), []
+        for b, g in blocks:
+            order = np.abs(b - degree[b] * (degree[b] + 1))  # |k| of column n^2 + n + k
+            runs.append((g, np.flatnonzero(np.diff(order, prepend=-1))))
+        lower, upper, block_lower, block_upper = _block_gershgorin(runs)
+        # op.rings[1], the ring of each node, has N entries
+        budget = np.finfo(float).eps * op.rings[1].size * sum(np.trace(g) for _, g in blocks)
+        if max(block_lower - lower, upper - block_upper) <= budget:
+            lam = np.array([lower, upper])
+    if lam is None:
+        lam = _block_eigenvalues([g for _, g in blocks])[[0, -1]]
+    lam.flags.writeable = False
+    return lam
 
 
 def _apply(op: _Operator, d: np.ndarray) -> np.ndarray:
@@ -296,8 +370,10 @@ def _column_multipliers(filt: MultiplierFilter, fam: MzFamily, m: int) -> np.nda
 class _System:
     """The path gate of one filter on the operator (``_active_system``).
 
-    bcol holds the column multipliers and lam the ascending eigenvalues of G
-    restricted to the active columns (op.lam when every column is active).
+    bcol holds the column multipliers and lam the (lower, upper) bounds on
+    the spectrum of G restricted to the active columns, by the same route
+    as op.lam (``_gram_extremes``; op.lam itself when every column is
+    active).
     on_gram says whether the normal equations stand for the SVD with relative
     cutoff 1e-12 (see the module docstring).  The restricted blocks of G are
     made on demand, and that SVD is taken once, on first need.  The methods
@@ -307,8 +383,7 @@ class _System:
 
     def __init__(self, op: _Operator, bcol: np.ndarray):
         self.bcol, self._svd = bcol, None
-        self.lam = op.lam if np.all(bcol != 0.0) else _block_eigenvalues(
-            [g for _, g in self.blocks(op)])
+        self.lam = op.lam if np.all(bcol != 0.0) else _gram_extremes(op, self.blocks(op))
         scale = np.abs(bcol[bcol != 0.0])
         spread = np.max(scale) / np.min(scale)
         self.on_gram = bool(self.lam[0] > _GRAM_RCOND * self.lam[-1]

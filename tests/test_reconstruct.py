@@ -518,10 +518,12 @@ class TestSamplingOperator:
     @pytest.mark.parametrize("n, rule, m, cubic", [
         (300, "random_in_region", 4,
          {"eigvalsh": [(22, 22)] * 3, "inv": [(22, 22)], "solve": [(22, 22)], "svd": []}),
-        # N = 50 puts all nodes on two rings: degree 6 is rank deficient
+        # N = 50 puts all nodes on two rings: degree 6 is rank deficient.  The
+        # rings hold 25 nodes, so no order couples to another and the path
+        # gate takes the enclosure: one eigvalsh of the 24 order blocks of the
+        # active columns, stacked and padded to 4 columns
         (50, "area_center", 6,
-         {"eigvalsh": [(15, 15), (11, 11), (11, 11), (9, 9)], "inv": [], "solve": [],
-          "svd": [(50, 46)]}),
+         {"eigvalsh": [(24, 4, 4)], "inv": [], "solve": [], "svd": [(50, 46)]}),
     ], ids=["partly_active", "svd_path"])
     def test_reconstruct_runs_each_cubic_step_once(self, monkeypatch, n, rule, m, cubic):
         # what ``spheredecon reconstruct`` runs: the solve, then the singular
@@ -801,6 +803,96 @@ class TestRingOperator:
         coeffs[cols] = d[cols] / scale
         assert np.array_equal(report.solution.coeffs, coeffs)
         assert report.residual == float(np.linalg.norm(bw @ d - ytil))
+
+
+@st.composite
+def oversampled_ring_cases(draw):
+    """(N, m): area-center nodes, 3 <= m <= 24, 4 (m+1)^2 <= N <= 8 (m+1)^2
+    (N >= 64: every colatitude holds two or more nodes)."""
+    m = draw(st.integers(3, 24))
+    return draw(st.integers(4 * num_coeffs(m), 8 * num_coeffs(m))), m
+
+
+def random_block_matrix(rng, scale):
+    """A random symmetric matrix split into 2..7 diagonal blocks of 1..6
+    columns, its entries off those blocks times scale, and the block starts."""
+    sizes = rng.integers(1, 7, size=rng.integers(2, 8))
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    a = scale * rng.standard_normal((sizes.sum(), sizes.sum()))
+    for lo, size in zip(starts.tolist(), sizes.tolist()):
+        a[lo:lo + size, lo:lo + size] = rng.standard_normal((size, size))
+    return (a + a.T) / 2, starts
+
+
+class TestOrderBlockEnclosure:
+    """Ring-path frame constants from the order blocks of G and their block
+    Gershgorin margin, or the class blocks where that margin passes the
+    rounding budget eps N trace G."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=oversampled_ring_cases())
+    @example(case=(1156, 16))
+    def test_encloses_the_dense_spectrum(self, case):
+        n, m = case
+        fam = pick_nodes(build_partition(n))
+        with pytest.MonkeyPatch.context() as mp:
+            shapes = record_calls(mp, np.linalg, "eigvalsh")
+            const = mz_constants(fam, m)
+        # the enclosure takes one stacked eigvalsh of the order blocks; the
+        # fallback adds one per class block
+        took_enclosure = [len(shape) for shape in shapes] == [3]
+        if case == (1156, 16):
+            assert took_enclosure
+        assert fam._operator.rings is not None
+        bw, gram = dense_gram(fam, m)
+        eps_svd = dense_svd_epsilon(bw)
+        assert eps_svd <= const.epsilon < eps_svd + 1e-8
+        eye = np.eye(gram.shape[0])
+        np.linalg.cholesky(gram - const.A * eye)
+        np.linalg.cholesky(const.B * eye - gram)
+        # a partly active filter: the path gate's extremes of G on the active
+        # columns take the same route and stay within its budget
+        filt = MultiplierFilter(np.r_[1.0, 0.0, np.ones(m - 1)])
+        _, system = reconstruct._active_system(filt, fam, m)
+        cols = np.flatnonzero(reconstruct._column_multipliers(filt, fam, m))
+        act = np.linalg.eigvalsh(gram[np.ix_(cols, cols)])
+        budget = np.finfo(float).eps * n * np.trace(gram) + 1e-13
+        assert act[0] - budget <= system.lam[0] <= act[0] + 1e-13
+        assert act[-1] - 1e-13 <= system.lam[-1] <= act[-1] + budget
+
+    def test_block_gershgorin_contains_the_spectrum(self):
+        rng = np.random.default_rng(50)
+        missed = 0
+        for scale in np.logspace(-12, -1, 12):
+            for _ in range(4):
+                # two diagonal blocks, each split into its own smaller blocks
+                (g1, s1), (g2, s2) = random_block_matrix(rng, scale), random_block_matrix(rng, scale)
+                whole = np.zeros((g1.shape[0] + g2.shape[0],) * 2)
+                whole[: g1.shape[0], : g1.shape[0]] = g1
+                whole[g1.shape[0]:, g1.shape[0]:] = g2
+                lam = np.linalg.eigvalsh(whole)
+                lower, upper, block_lower, block_upper = reconstruct._block_gershgorin(
+                    [(g1, s1), (g2, s2)])
+                assert lower <= lam[0] and lam[-1] <= upper
+                assert lower <= block_lower <= block_upper <= upper
+                # mutation check: with the radii zeroed the enclosure is the
+                # extremes of the diagonal blocks alone
+                missed += not (block_lower <= lam[0] and lam[-1] <= block_upper)
+        assert missed > 0
+
+    def test_fallback_is_bitwise_the_class_block_spectrum(self, monkeypatch):
+        # m = 24 at N = 2500: the margin of the order blocks passes the
+        # budget, so A and B come from eigvalsh of the four class blocks
+        fam = pick_nodes(build_partition(2500))
+        op = _operator(fam, 24)
+        shapes = record_calls(monkeypatch, np.linalg, "eigvalsh")
+        const = mz_constants(fam, 24)
+        assert [len(shape) for shape in shapes] == [3, 2, 2, 2, 2]
+        lam = np.sort(np.concatenate([np.linalg.eigvalsh(g) for _, g in op.blocks]))
+        trace = sum(np.trace(g) for _, g in op.blocks)
+        delta = (np.finfo(float).eps * (len(fam.nodes) * trace + num_coeffs(24) * lam[-1])
+                 + op.slack)
+        assert (const.A, const.B) == (float(lam[0] - delta), float(lam[-1] + delta))
 
 
 def whole_table_ring_operator(fam, m):

@@ -1,6 +1,9 @@
 """The measurement CSV, the basis matrix, synthesis, the ring path's
 synthesis and analysis and the lunar filter JSON do not depend on the BLAS
 thread count: all are built from elementwise numpy operations and einsum.
+Nor does ``verify-mz`` on a ring family whose frame constants come from the
+block Gershgorin enclosure of the order blocks (area-center N = 5000,
+m = 24), which are solved in one stacked eigvalsh of small blocks.
 
 Each count runs in a fresh interpreter, since OpenBLAS reads
 OPENBLAS_NUM_THREADS once, when numpy is first imported.
@@ -32,6 +35,7 @@ truth = random_poly(40, 2.0, seed=5)
 write_measurements_csv("meas.csv", simulate(truth, cap_multipliers(0.2, 40), fam, 0.01, seed=6))
 cli.main(["filter", "--kind", "lunar", "--radius", "1737.1", "--altitude", "30", "--m-max", "200",
           "--gamma", "1.5", "--out", "lunar.json"])
+cli.main(["verify-mz", "--n", "5000", "--m", "24", "--out", "verify_mz.json"])
 ring_op = _operator(pick_nodes(build_partition(1800)), 24)  # the ring path
 rng = np.random.default_rng(8)
 v, d = rng.standard_normal(1800), rng.standard_normal(num_coeffs(24))
@@ -41,6 +45,7 @@ print(json.dumps({
     "basis_matrix": digest(basis_matrix(24, fam.nodes[:, 0], fam.nodes[:, 1]).tobytes()),
     "eval_poly_many": digest(eval_poly_many(truth, fam.nodes[:, 0], fam.nodes[:, 1]).tobytes()),
     "lunar_filter_json": digest(open("lunar.json", "rb").read()),
+    "verify_mz_json": digest(open("verify_mz.json", "rb").read()),
     "ring_adjoint": digest(_adjoint(ring_op, v).tobytes()),
     "ring_apply": digest(_apply(ring_op, d).tobytes()),
 }))
