@@ -55,6 +55,6 @@ report = lsq_solve(identity_multipliers(m), fam, m, ms.y)
 rel = np.linalg.norm(report.solution.coeffs - truth.coeffs) / truth.l2_norm()
 print(f"\nnoiseless recovery of a degree-{m} polynomial from {partition.N} samples:")
 print(f"  relative coefficient error = {rel:.2e}")
-sv = filtered_singular_values(identity_multipliers(m), fam, m)
-print(f"  sampling-matrix frame bounds sigma_min^2 = {sv[-1] ** 2:.4f}, "
-      f"sigma_max^2 = {sv[0] ** 2:.4f}")
+sigma_max, sigma_min = filtered_singular_values(identity_multipliers(m), fam, m)
+print(f"  sampling-matrix frame bounds sigma_min^2 = {sigma_min ** 2:.4f}, "
+      f"sigma_max^2 = {sigma_max ** 2:.4f}")

@@ -55,7 +55,7 @@ from .sphere_geometry import (
     write_partition_json,
 )
 
-__all__ = ["main", "run_experiment_row", "CliError"]
+__all__ = ["main", "CliError"]
 
 
 class CliError(Exception):
@@ -331,30 +331,6 @@ def _experiment_rows(filt, truth, cert_kw: dict, m: int, cells: list,
             "search": [[size, eps] for size, eps in search],
         })
     return rows
-
-
-def run_experiment_row(
-    filt: filt_mod.MultiplierFilter,
-    truth: CoefficientVector,
-    omega: float,
-    gamma: float,
-    zeta: float,
-    m: int,
-    beta: float,
-    noise_seed: Optional[int],
-    nodes_factor: int = 4,
-    rule: str = "area_center",
-    node_seed: Optional[int] = None,
-) -> dict:
-    """One (m, beta) cell: search the family, sample, reconstruct, certify, verify.
-
-    The ``experiment`` command makes the same rows, with one family search
-    per degree for all its betas.
-    """
-    cert_kw = _certificate_inputs(filt, truth, omega, gamma, zeta)
-    return _experiment_rows(
-        filt, truth, cert_kw, m, [(beta, noise_seed)], nodes_factor, rule, node_seed
-    )[0]
 
 
 _EXPERIMENT_COLUMNS = ["m", "N", "beta", "measured_L2", "measured_Hzeta",

@@ -41,10 +41,12 @@ runs instead when G is singular to half the working precision or when the
 multipliers spread so widely that the cutoff could drop a direction; only
 then can its minimum-norm answer differ from d / b.
 
-The singular values of the filtered matrix B_w D, D = diag(b), are no frame
-constants and enter no certificate; ``filtered_singular_values`` computes
-them on request, for the solution JSON, from eigenvalues of D G D (large
-ones) and of D^{-1} G^{-1} D^{-1} (small ones), each where it is accurate.
+The extreme singular values of the filtered matrix B_w D, D = diag(b), are
+no frame constants and enter no certificate; ``filtered_singular_values``
+computes the pair (sigma_max, sigma_min) on request, for the solution JSON,
+each end from its own eigensolve, block by block of G: sigma_max^2 is the
+top eigenvalue of D G D and sigma_min^2 the inverse of the top eigenvalue
+of D^{-1} G^{-1} D^{-1}, so each is resolved to eps relative to itself.
 """
 
 from __future__ import annotations
@@ -267,15 +269,11 @@ def _class_blocks(m: int, qt: np.ndarray, pairs: tuple, eps_n: float):
     return tuple((b, g) for b, g in zip(cols, gram) if b.size), between
 
 
-def _block_eigenvalues(blocks) -> np.ndarray:
-    """Ascending eigenvalues of the block-diagonal matrix of the given blocks."""
-    return np.sort(np.concatenate([np.linalg.eigvalsh(g) for g in blocks]))
-
-
-def _block_gershgorin(blocks) -> tuple:
+def _block_gershgorin(blocks, budget: float) -> Optional[tuple]:
     """Block Gershgorin enclosure of the spectrum of the symmetric
     block-diagonal matrix of the given (g, starts), each g split at starts
-    into blocks g_ij: (lower, upper, block_lower, block_upper).
+    into blocks g_ij: (lower, upper, block_lower, block_upper), or None where
+    it widens the extremes of the g_ii by more than budget.
 
     Every eigenvalue lies within R_i = sum_{j != i} ||g_ij||_2 of the
     spectrum of some g_ii (Feingold & Varga, "Block diagonally dominant
@@ -283,8 +281,10 @@ def _block_gershgorin(blocks) -> tuple:
     J. Math. 12, 1962); the Frobenius norm stands in for ||g_ij||_2, which it
     never undercuts.  So lower = min_i (lambda_min(g_ii) - R_i) and upper =
     max_i (lambda_max(g_ii) + R_i), while block_lower and block_upper are the
-    extremes of the g_ii alone.  All g_ii are solved in one eigvalsh call,
-    each padded to the largest size with copies of its first diagonal entry,
+    extremes of the g_ii alone.  block_lower - lower is at least R_i of the
+    g_ii that holds block_lower, so a min_i R_i above budget returns None
+    before any eigensolve.  All g_ii are solved in one eigvalsh call, each
+    padded to the largest size with copies of its first diagonal entry,
     which lies in its spectrum and so leaves its extremes as they are.
     """
     diag, radii = [], []
@@ -294,6 +294,9 @@ def _block_gershgorin(blocks) -> tuple:
         radii.append(norms.sum(axis=1))
         bounds = np.append(starts, g.shape[0]).tolist()
         diag += [g[lo:hi, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    radii = np.concatenate(radii)
+    if radii.min() > budget:
+        return None
     sizes = np.array([d.shape[0] for d in diag])
     size = int(sizes.max())
     stack = np.zeros((sizes.size, size, size))
@@ -302,9 +305,11 @@ def _block_gershgorin(blocks) -> tuple:
     diagonal = stack.reshape(sizes.size, -1)[:, :: size + 1]  # a view of each diagonal
     diagonal[np.arange(size) >= sizes[:, None]] = np.repeat(diagonal[:, 0], size - sizes)
     lam = np.linalg.eigvalsh(stack)
-    radii = np.concatenate(radii)
-    return (float(np.min(lam[:, 0] - radii)), float(np.max(lam[:, -1] + radii)),
-            float(lam[:, 0].min()), float(lam[:, -1].max()))
+    lower, upper = float(np.min(lam[:, 0] - radii)), float(np.max(lam[:, -1] + radii))
+    block_lower, block_upper = float(lam[:, 0].min()), float(lam[:, -1].max())
+    if max(block_lower - lower, upper - block_upper) > budget:
+        return None
+    return lower, upper, block_lower, block_upper
 
 
 def _gram_extremes(op: _Operator, blocks) -> np.ndarray:
@@ -320,19 +325,19 @@ def _gram_extremes(op: _Operator, blocks) -> np.ndarray:
     parity coupling; elsewhere the extremes of eigvalsh of the class blocks.
     """
     blocks = list(blocks)
-    lam = None
+    bounds = None
     if op.rings is not None:
         degree, runs = _degrees(op.m), []
         for b, g in blocks:
             order = np.abs(b - degree[b] * (degree[b] + 1))  # |k| of column n^2 + n + k
             runs.append((g, np.flatnonzero(np.diff(order, prepend=-1))))
-        lower, upper, block_lower, block_upper = _block_gershgorin(runs)
         # op.rings[1], the ring of each node, has N entries
         budget = np.finfo(float).eps * op.rings[1].size * sum(np.trace(g) for _, g in blocks)
-        if max(block_lower - lower, upper - block_upper) <= budget:
-            lam = np.array([lower, upper])
-    if lam is None:
-        lam = _block_eigenvalues([g for _, g in blocks])[[0, -1]]
+        bounds = _block_gershgorin(runs, budget)
+    if bounds is None:
+        spectra = [np.linalg.eigvalsh(g) for _, g in blocks]
+        bounds = min(s[0] for s in spectra), max(s[-1] for s in spectra)
+    lam = np.array(bounds[:2])
     lam.flags.writeable = False
     return lam
 
@@ -491,36 +496,45 @@ def lsq_solve(
     )
 
 
-def filtered_singular_values(filt: MultiplierFilter, fam: MzFamily, m: int) -> np.ndarray:
-    """Descending singular values of the filtered matrix B_w D on the active degrees.
+def filtered_singular_values(filt: MultiplierFilter, fam: MzFamily, m: int) -> tuple:
+    """(sigma_max, sigma_min), the extreme singular values of the filtered
+    matrix B_w D on the active degrees.
 
-    Where ``lsq_solve`` takes the normal equations they come from the
-    eigenvalues of D G D, resolved to eps * sigma_max^2 only, and the small
-    ones from inverse eigenvalues of D^{-1} G^{-1} D^{-1}, resolved to
-    eps / sigma_min^2, each taken per block of G (D is diagonal); elsewhere
-    from an SVD of B_w D.
+    Where ``lsq_solve`` takes the normal equations, each end comes from the
+    eigensolve that resolves it to eps relative to itself (Demmel &
+    Veselic, SIAM J. Matrix Anal. Appl. 13, 1992): sigma_max^2 is the top
+    eigenvalue of D G D and sigma_min^2 the inverse of the top eigenvalue of
+    D^{-1} G^{-1} D^{-1}.  D is diagonal, so both are maxima over the blocks
+    of G, taken one block at a time.  Elsewhere they are the two ends of the
+    SVD of B_w D.
     """
     op, system = _active_system(filt, fam, m)
     if not system.on_gram:
-        return system.svd(op)[1]
-    big, inv_big = [], []
+        sv = system.svd(op)[1]
+        return float(sv[0]), float(sv[-1])
+    top = inv_top = 0.0
     for b, g in system.blocks(op):
         scale = system.bcol[b]
         inv_scale = 1.0 / scale
-        big.append(scale[:, None] * g * scale[None, :])
-        inv_big.append(inv_scale[:, None] * np.linalg.inv(g) * inv_scale[None, :])
-    big = _block_eigenvalues(big)
-    small = 1.0 / _block_eigenvalues(inv_big)[::-1]
-    sq = np.where(big >= np.sqrt(big[-1] * small[0]), big, small)
-    return np.sqrt(sq[::-1])
+        top = max(top, np.linalg.eigvalsh(scale[:, None] * g * scale[None, :])[-1])
+        inv_top = max(inv_top, np.linalg.eigvalsh(
+            inv_scale[:, None] * np.linalg.inv(g) * inv_scale[None, :])[-1])
+    # on one column, or a flat spectrum, the two estimates can lie an ulp
+    # apart in either order; the min keeps the pair descending
+    return math.sqrt(top), math.sqrt(min(top, 1.0 / inv_top))
 
 
-def solution_to_json(report: LsqReport, sv: np.ndarray) -> dict:
-    """Solution and diagnostics; sv = filtered_singular_values of the same solve.
+def solution_to_json(report: LsqReport, sv: tuple) -> dict:
+    """Solution and diagnostics; sv = (sigma_max, sigma_min), the pair
+    ``filtered_singular_values`` returns for the same solve (the top
+    eigenvalue of D G D and the inverse top eigenvalue of
+    D^{-1} G^{-1} D^{-1} on the normal-equations path, the ends of the SVD
+    elsewhere).
 
     frame_lower / frame_upper are sigma_min^2 / sigma_max^2 of the filtered
     matrix, not the MZ frame constants of the family (certify.mz_constants).
     """
+    sigma_max, sigma_min = sv
     return {
         "m_max": report.solution.m_max,
         "coeffs": [float(v) for v in report.solution.coeffs],
@@ -528,10 +542,10 @@ def solution_to_json(report: LsqReport, sv: np.ndarray) -> dict:
             "residual": report.residual,
             "rank": report.rank,
             "full_rank": report.full_rank,
-            "frame_lower": float(sv[-1] ** 2),
-            "frame_upper": float(sv[0] ** 2),
-            "sigma_max": float(sv[0]),
-            "sigma_min": float(sv[-1]),
+            "frame_lower": sigma_min**2,
+            "frame_upper": sigma_max**2,
+            "sigma_max": sigma_max,
+            "sigma_min": sigma_min,
             "active_degrees": list(report.active_degrees),
         },
     }

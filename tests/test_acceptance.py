@@ -16,7 +16,7 @@ from conftest import random_sphere_points
 from test_sphere_geometry import check_rounding_properties, rounding_y_sequence
 
 from spheredecon.certify import find_family_size, mz_constants
-from spheredecon.cli import run_experiment_row
+from spheredecon.cli import _certificate_inputs, _experiment_rows
 from spheredecon.filters import (
     CapProfile,
     LunarProfile,
@@ -157,13 +157,14 @@ def test_08_certificate_soundness_grid():
         for fi, (fname, (filt, gamma, zeta)) in enumerate(filters.items()):
             for omega in (2.0, 3.0):
                 truth = random_poly(truth_degree, sigma=omega, seed=1000 * fi + int(omega))
+                cert_kw = _certificate_inputs(filt, truth, omega, gamma, zeta)
                 for beta in (0.0, 1e-3, 1e-2):
                     for m in range(3, 13):
                         cell += 1
-                        row = run_experiment_row(
-                            filt, truth, omega, gamma, zeta, m, beta,
-                            noise_seed=None if beta == 0 else 7000 + cell,
-                        )
+                        row = _experiment_rows(
+                            filt, truth, cert_kw, m,
+                            [(beta, None if beta == 0 else 7000 + cell)], 4, "area_center", None,
+                        )[0]
                         assert row["pass_Hzeta"], (
                             f"{fname} omega={omega} beta={beta} m={m}: "
                             f"H-zeta {row['measured_Hzeta']:.3e} > {row['bound_Hzeta']:.3e}"
@@ -184,8 +185,10 @@ def test_09_rate_curve_domination():
         omega = 2.5
         filt = identity_multipliers(20)
         truth = random_poly(20, sigma=omega, seed=321)
+        cert_kw = _certificate_inputs(filt, truth, omega, 0.0, 0.0)
         for m in range(3, 16):
-            row = run_experiment_row(filt, truth, omega, 0.0, 0.0, m, 0.0, noise_seed=None)
+            row = _experiment_rows(filt, truth, cert_kw, m, [(0.0, None)], 4, "area_center",
+                                   None)[0]
             assert row["measured_L2"] <= row["bound_Hzeta"]
 
 

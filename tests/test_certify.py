@@ -18,7 +18,7 @@ from spheredecon.certify import (
     verify_bound,
     certificate_to_json,
 )
-from spheredecon.cli import run_experiment_row
+from spheredecon.cli import _certificate_inputs, _experiment_rows
 from spheredecon.filters import (
     MultiplierFilter,
     cap_multipliers,
@@ -337,10 +337,10 @@ class TestCertificateSoundness:
         else:
             filt = MultiplierFilter(np.array(multipliers[: degree + 1]))
         truth = random_poly(degree, sigma=omega, seed=seed)
-        row = run_experiment_row(
-            filt, truth, omega, gamma, gamma if zeta_is_gamma else 0.0, m, beta,
-            noise_seed=seed + 1, nodes_factor=nodes_factor, rule=rule, node_seed=seed + 2,
-        )
+        cert_kw = _certificate_inputs(filt, truth, omega, gamma, gamma if zeta_is_gamma else 0.0)
+        row = _experiment_rows(
+            filt, truth, cert_kw, m, [(beta, seed + 1)], nodes_factor, rule, seed + 2,
+        )[0]
         assert row["epsilon"] < 1
         assert row["pass_Hzeta"], row
         assert row["pass_L2"] is not False, row

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from spheredecon import certify, cli
 from spheredecon.artifacts import atomic_write_text, write_json
-from spheredecon.cli import main, run_experiment_row
+from spheredecon.cli import _certificate_inputs, _experiment_rows, main
 from spheredecon.filters import filter_from_json
 from spheredecon.harmonics import coeffs_to_json, random_poly
 
@@ -955,9 +955,9 @@ class TestExperimentFamilies:
         filt, rows = self.experiment(tmp_path, capsys)
         truth = random_poly(8, 3.5, 2, unit_norm=False)
         expected = [
-            run_experiment_row(filt, truth, 2.0, 1.5, 1.5, m, beta,
-                               self.SEED + 1000 * bi + mi, nodes_factor=1,
-                               rule="random_in_region", node_seed=self.NODE_SEED)
+            _experiment_rows(filt, truth, _certificate_inputs(filt, truth, 2.0, 1.5, 1.5), m,
+                             [(beta, self.SEED + 1000 * bi + mi)], 1, "random_in_region",
+                             self.NODE_SEED)[0]
             for bi, beta in enumerate(self.BETAS) for mi, m in enumerate(self.M_GRID)
         ]
         # JSON keeps every double exactly (repr round trip), so this is bitwise

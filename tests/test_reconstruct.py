@@ -294,6 +294,9 @@ class TestGramSolveAgainstSvd:
     @example(case=(MultiplierFilter(np.where(np.arange(11) == 9, 1e-3, 1.0)),
                    pick_nodes(build_partition(254), rule="random_in_region", seed=0), 10,
                    np.random.default_rng(0).standard_normal(254)))
+    # one column: the two estimates of its one singular value lie an ulp apart
+    @example(case=(cap_multipliers(THETA_41, 0), pick_nodes(build_partition(64)), 0,
+                   np.random.default_rng(0).standard_normal(64)))
     def test_matches_oracle(self, case):
         filt, fam, m, y = case
         coeffs, sv, rank = svd_oracle(filt, fam, m, y)
@@ -308,6 +311,7 @@ class TestGramSolveAgainstSvd:
         filtered = filtered_singular_values(filt, fam, m)
         assert filtered[0] == pytest.approx(sv[0], rel=tol)
         assert filtered[-1] == pytest.approx(sv[-1], rel=tol)
+        assert filtered[0] >= filtered[-1]
         eps = mz_constants(fam, m).epsilon
         assert eps_svd <= eps < eps_svd + 1e-8
 
@@ -329,8 +333,8 @@ class TestGramSolveAgainstSvd:
         assert rel_diff(report.solution.coeffs, coeffs) <= 1e-12
         filtered = filtered_singular_values(filt, family, 4)
         assert calls == []
-        assert filtered.size == sv.size == 22
-        np.testing.assert_allclose(filtered, sv, rtol=1e-12)
+        assert sv.size == 22
+        np.testing.assert_allclose(filtered, (sv[0], sv[-1]), rtol=1e-12)
 
     def test_solve_computes_no_spectrum(self, family, monkeypatch):
         filt = cap_multipliers(THETA_41, 5)
@@ -362,7 +366,7 @@ class TestGramSolveAgainstSvd:
         # the singular values come from the solve's SVD, not from a second one
         filtered = filtered_singular_values(filt, family, 3)
         assert calls == [(200, 16)]
-        np.testing.assert_allclose(filtered, sv, rtol=0, atol=1e-13 * sv[0])
+        np.testing.assert_allclose(filtered, (sv[0], sv[-1]), rtol=0, atol=1e-13 * sv[0])
 
     def test_small_singular_value_under_spread_multipliers(self, family):
         # sigma_min^2 / sigma_max^2 ~ 1e-16 is rounding noise in the eigenvalues
@@ -378,6 +382,24 @@ class TestGramSolveAgainstSvd:
         assert report.full_rank
         assert filtered[-1] == pytest.approx(sigma_min, rel=1e-10)
         assert filtered[-1] ** 2 == pytest.approx(sigma_min**2, rel=1e-10)
+
+    def test_singular_values_hold_one_block_at_a_time(self):
+        # ring path at m = 32: four class blocks of up to 289 columns; the
+        # pair takes their eigensolves one block at a time, so the peak stays
+        # near one scaled block and its inverse, not all the scaled blocks
+        fam = pick_nodes(build_partition(4356))
+        filt = cap_multipliers(THETA_41, 32)
+        lsq_solve(filt, fam, 32, np.ones(4356))
+        op = fam._operator
+        assert op.rings is not None and op.system.on_gram
+        block = max(g.nbytes for _, g in op.blocks)
+        tracemalloc.start()
+        try:
+            filtered_singular_values(filt, fam, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * block
 
 
 def scattered_family():
@@ -464,7 +486,7 @@ class TestSamplingOperator:
         assert shapes == [(22, 22)]
 
     @pytest.mark.parametrize("rule, m", [("area_center", 5), ("random_in_region", 8)])
-    def test_one_operator_object_per_build(self, rule, m):
+    def test_one_operator_object_per_build(self, monkeypatch, rule, m):
         fam = pick_nodes(build_partition(300), rule=rule, seed=4)
         mz_constants(fam, m)
         op = fam._operator
@@ -473,9 +495,13 @@ class TestSamplingOperator:
             lsq_solve(filt, fam, m, np.ones(300))
             filtered_singular_values(filt, fam, m)
             assert fam._operator is op
-        # the SVD path's gate and SVD are kept on the same operator
+        # the SVD path's gate and SVD are kept on the same operator: the pair
+        # is the two ends of that SVD, taken without a second one
         assert not op.system.on_gram
-        assert filtered_singular_values(wide, fam, m) is op.system.svd(op)[1]
+        sv = op.system.svd(op)[1]
+        calls = count_svd_calls(monkeypatch)
+        assert filtered_singular_values(wide, fam, m) == (sv[0], sv[-1])
+        assert calls == []
 
     def test_partly_active_gate_holds_no_block(self):
         fam = scattered_family()
@@ -872,7 +898,7 @@ class TestOrderBlockEnclosure:
                 whole[g1.shape[0]:, g1.shape[0]:] = g2
                 lam = np.linalg.eigvalsh(whole)
                 lower, upper, block_lower, block_upper = reconstruct._block_gershgorin(
-                    [(g1, s1), (g2, s2)])
+                    [(g1, s1), (g2, s2)], np.inf)
                 assert lower <= lam[0] and lam[-1] <= upper
                 assert lower <= block_lower <= block_upper <= upper
                 # mutation check: with the radii zeroed the enclosure is the
@@ -883,16 +909,52 @@ class TestOrderBlockEnclosure:
     def test_fallback_is_bitwise_the_class_block_spectrum(self, monkeypatch):
         # m = 24 at N = 2500: the margin of the order blocks passes the
         # budget, so A and B come from eigvalsh of the four class blocks
+        # alone; the smallest radius already passes it, so the order blocks
+        # are not solved
         fam = pick_nodes(build_partition(2500))
         op = _operator(fam, 24)
         shapes = record_calls(monkeypatch, np.linalg, "eigvalsh")
         const = mz_constants(fam, 24)
-        assert [len(shape) for shape in shapes] == [3, 2, 2, 2, 2]
+        assert [len(shape) for shape in shapes] == [2, 2, 2, 2]
         lam = np.sort(np.concatenate([np.linalg.eigvalsh(g) for _, g in op.blocks]))
         trace = sum(np.trace(g) for _, g in op.blocks)
         delta = (np.finfo(float).eps * (len(fam.nodes) * trace + num_coeffs(24) * lam[-1])
                  + op.slack)
         assert (const.A, const.B) == (float(lam[0] - delta), float(lam[-1] + delta))
+
+
+    @pytest.mark.parametrize("n, m", [(2500, 24), (2178, 32), (1089, 32)])
+    def test_early_exit_skips_the_order_block_eigensolve(self, monkeypatch, n, m):
+        # every order block's radius passes the budget eps N trace G, so the
+        # widening must too: no stacked eigvalsh, and lam is bitwise the
+        # extremes of the class blocks' spectrum
+        fam = pick_nodes(build_partition(n))
+        op = _operator(fam, m)
+        trace = sum(np.trace(g) for _, g in op.blocks)
+        degree = reconstruct._degrees(m)
+        radii = []
+        for b, g in op.blocks:
+            order = np.abs(b - degree[b] * (degree[b] + 1))
+            starts = np.flatnonzero(np.diff(order, prepend=-1))
+            norms = np.sqrt(np.add.reduceat(np.add.reduceat(g * g, starts, axis=0), starts,
+                                            axis=1))
+            radii.append(norms.sum(axis=1) - norms.diagonal())
+        assert np.concatenate(radii).min() > np.finfo(float).eps * n * trace
+        lam = np.sort(np.concatenate([np.linalg.eigvalsh(g) for _, g in op.blocks]))[[0, -1]]
+        shapes = record_calls(monkeypatch, np.linalg, "eigvalsh")
+        assert np.array_equal(op.lam, lam)
+        assert [len(shape) for shape in shapes] == [2] * len(op.blocks)
+
+    @pytest.mark.parametrize("n, m", [(4356, 32), (16900, 16)],
+                             ids=["cell_dense", "oversampled_io"])
+    def test_benchmark_families_take_the_enclosure(self, monkeypatch, n, m):
+        # cell_dense widens by 3.95e-10 against a budget of 1.05e-9: a looser
+        # radius would drop it onto the class-block eigensolves unnoticed
+        fam = pick_nodes(build_partition(n))
+        _operator(fam, m)
+        shapes = record_calls(monkeypatch, np.linalg, "eigvalsh")
+        mz_constants(fam, m)
+        assert [len(shape) for shape in shapes] == [3]
 
 
 def whole_table_ring_operator(fam, m):
