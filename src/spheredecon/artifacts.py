@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["atomic_write_text", "write_json", "write_csv", "format_float"]
+__all__ = ["atomic_write_text", "write_json", "write_csv"]
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -63,8 +63,3 @@ def write_csv(path, header: str, *columns) -> None:
             spec.append("%.17g")
     row = ",".join(spec) + "\n"
     atomic_write_text(path, header + "\n" + (row * n) % tuple(cells.ravel().tolist()))
-
-
-def format_float(x: float) -> str:
-    """17 significant digits: round-trips any IEEE double."""
-    return f"{x:.17g}"

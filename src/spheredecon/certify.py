@@ -271,6 +271,8 @@ def bound_apriori(
     bound_l2 = None
     if c0 is not None and c0 > 0 and zeta >= gamma:
         bound_l2 = bound_hzeta / c0
+    if not (math.isfinite(bound_hzeta) and math.isfinite(bound_l2 or 0.0)):
+        raise OverflowError(f"bound_Hzeta {bound_hzeta} or bound_L2 {bound_l2} overflows a float")
     range_limited = fit_m_max is not None and m > fit_m_max
     return Certificate(
         omega=omega,

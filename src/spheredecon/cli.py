@@ -30,7 +30,7 @@ from typing import Optional
 
 from . import certify as cert_mod
 from . import filters as filt_mod
-from .artifacts import atomic_write_text, format_float, write_json
+from .artifacts import atomic_write_text, write_json
 from .forward import (
     add_noise,
     apply_multiplier,
@@ -340,7 +340,7 @@ _EXPERIMENT_COLUMNS = ["m", "N", "beta", "measured_L2", "measured_Hzeta",
 def _csv_cell(v) -> str:
     if v is None:
         return ""
-    return format_float(v) if isinstance(v, float) else str(v)
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
 def _cmd_experiment(args) -> int:

@@ -8,14 +8,14 @@ addition theorem reads sum_ell Y_m^ell(x) Y_m^ell(y) = (2m+1) P_m(cos rho),
 and the squared l2 norm of a coefficient vector equals the squared L2 norm
 of the synthesized function.
 
-The colatitude (Legendre) factors come one degree at a time, and each
-degree is used as it is made, never stacked: ``basis_matrix`` writes its
-block of rows, matrix-free synthesis adds it to per-ring order sums, and
-its adjoint sums the degree's ring rows over the rings.  Points on a few
-latitude rings, such as area_center nodes, share them: the ring factors
-that ``reconstruct`` keeps are the ring colatitudes, the ring of each
-point, the longitudes and sqrt(tau), all O(points), and every use steps
-the degrees from the ring colatitudes anew.
+The colatitude (Legendre) factors come one degree at a time, and each degree
+is used as it is made, never stacked: ``basis_matrix`` writes its block of
+rows, matrix-free synthesis adds it to per-ring order sums, and its adjoint
+sums the degree's ring rows over the rings; the loops split or join the degree
+blocks at the offsets m^2.  Points on a few latitude rings, such as
+area_center nodes, share them: the ring factors that ``reconstruct`` keeps are
+the ring colatitudes, the ring of each point, the longitudes and sqrt(tau),
+all O(points), and every use steps the degrees from the ring colatitudes anew.
 
 The azimuthal factors cos(k phi), sin(k phi) come from one sin/cos pair per
 point by angle addition (``_trig``), with real elementwise operations only,
@@ -190,8 +190,8 @@ def _basis_transpose(m_max: int, steps, trig_t: np.ndarray) -> np.ndarray:
     """B^T, one degree block of rows at a time, from the degrees Q[m, 0..m] (order,
     point) of ``steps`` and the order-major azimuthal factors (rows scale with them)."""
     out = np.empty((num_coeffs(m_max), trig_t.shape[1]))
-    for m, q in enumerate(steps):
-        _degree_rows(m_max, m, q, trig_t, out[block_slice(m)])
+    for m, (q, rows) in enumerate(zip(steps, np.split(out, np.arange(1, m_max + 1) ** 2))):
+        _degree_rows(m_max, m, q, trig_t, rows)
     return out
 
 
@@ -243,8 +243,8 @@ def _order_sums(m_max: int, steps, coeffs: np.ndarray, rings: int) -> np.ndarray
     k = 0), summed over the degrees Q[m, 0..m] (order, ring) of ``steps``."""
     a = np.zeros((2 * m_max + 1, rings))
     tmp = np.empty((m_max + 1, rings))
-    for m, q in enumerate(steps):
-        cm = math.sqrt(2.0) * coeffs[block_slice(m)]
+    scaled = math.sqrt(2.0) * coeffs
+    for m, (q, cm) in enumerate(zip(steps, np.split(scaled, np.arange(1, m_max + 1) ** 2))):
         cm[m] = coeffs[m * m + m]
         a[m_max : m_max + m + 1] += np.multiply(cm[m:, None], q, out=tmp[: m + 1])  # k = 0..m
         a[m_max - m : m_max] += np.multiply(cm[:m, None], q[:0:-1], out=tmp[:m])  # k = -m..-1
@@ -276,10 +276,8 @@ def _analysis(m_max: int, colat, ring_of, phis, sqrt_w, v: np.ndarray) -> np.nda
         rows *= v[nodes, None]
         a[:, ring] = np.add.reduceat(rows, starts).T
     buf = np.empty_like(a)
-    out = np.empty(num_coeffs(m_max))
-    for m, q in enumerate(_legendre_steps(m_max, colat)):
-        out[block_slice(m)] = _degree_rows(m_max, m, q, a, buf[: 2 * m + 1]).sum(axis=1)
-    return out
+    return np.concatenate([_degree_rows(m_max, m, q, a, buf[: 2 * m + 1]).sum(axis=1)
+                           for m, q in enumerate(_legendre_steps(m_max, colat))])
 
 
 def eval_poly_many(c: CoefficientVector, thetas, phis) -> np.ndarray:
@@ -298,10 +296,14 @@ def sobolev_weights(m_max: int, sigma: float) -> np.ndarray:
 
 
 def sobolev_norm(c: CoefficientVector, sigma: float) -> float:
-    """H^sigma norm: sqrt(sum c_{m,ell}^2 (1 + m(m+1))^sigma)."""
+    """H^sigma norm: sqrt(sum c_{m,ell}^2 (1 + m(m+1))^sigma); OverflowError if not finite."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    return float(np.sqrt(np.sum(c.coeffs**2 * sobolev_weights(c.m_max, sigma))))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf weight times a 0 coefficient
+        norm = float(np.sqrt(np.sum(c.coeffs**2 * sobolev_weights(c.m_max, sigma))))
+    if not math.isfinite(norm):
+        raise OverflowError(f"H^{sigma:g} norm of degree {c.m_max} is beyond the float range")
+    return norm
 
 
 def embed(c: CoefficientVector, m_max: int) -> CoefficientVector:
@@ -331,11 +333,11 @@ def random_poly(
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     rng = np.random.default_rng(seed)
-    coeffs = np.zeros(num_coeffs(m_max))
-    for m in range(m_max + 1):
-        block = rng.standard_normal(2 * m + 1)
+    coeffs = np.empty(num_coeffs(m_max))
+    for m, block in enumerate(np.split(coeffs, np.arange(1, m_max + 1) ** 2)):
+        rng.standard_normal(out=block)
         block /= np.linalg.norm(block)
-        coeffs[block_slice(m)] = block * (1.0 + m * (m + 1.0)) ** (-sigma / 2 - 0.5)
+        block *= (1.0 + m * (m + 1.0)) ** (-sigma / 2 - 0.5)
     c = CoefficientVector(m_max, coeffs)
     if unit_norm:
         c = CoefficientVector(m_max, coeffs / sobolev_norm(c, sigma))

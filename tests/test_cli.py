@@ -430,6 +430,45 @@ class TestArithmeticAndMemoryErrors:
         assert json.loads(err)["type"] == "OverflowError"
         assert not cert.exists()
 
+    # At sigma = 301.5 the truth's degree-12 coefficients underflow to 0 where
+    # their Sobolev weights overflow, so the naive norm would be nan.
+    NONFINITE = ["--filter", "f.json", "--omega", 300, "--gamma", 1.5, "--beta", 0]
+
+    def test_nonfinite_norm_experiment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run(["filter", "--kind", "cap", "--theta0", 0.3, "--m-max", 30, "--out", "f.json"], capsys)
+        code, out, err = run(["experiment", *self.NONFINITE, "--truth-m-max", 12, "--truth-seed", 1,
+                              "--m-grid", 4, "--out", "e.csv", "--out-json", "e.json"], capsys)
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["type"] == "OverflowError" and "norm" in error["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]
+
+    def test_nonfinite_norm_certify(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run(["filter", "--kind", "cap", "--theta0", 0.3, "--m-max", 30, "--out", "f.json"], capsys)
+        write_json("t.json", coeffs_to_json(random_poly(12, 301.5, 1)))
+        code, out, err = run(["certify", *self.NONFINITE, "--truth", "t.json", "--n", 100,
+                              "--m", 4, "--out", "c.json"], capsys)
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["type"] == "OverflowError" and "norm" in error["error"]
+        assert not (tmp_path / "c.json").exists()
+
+    def test_nonfinite_bound(self, tmp_path, capsys):
+        # every factor is finite, but their product is not
+        filt, cert = tmp_path / "f.json", tmp_path / "c.json"
+        run(["filter", "--kind", "identity", "--m-max", 2, "--out", filt], capsys)
+        code, _, err = run(
+            ["certify", "--filter", filt, "--n", 100, "--m", 3, "--omega", 1.0000001,
+             "--gamma", 0, "--beta", 0, "--norm-f-sigma", 1e308, "--out", cert],
+            capsys,
+        )
+        assert code == 1
+        error = json.loads(err)
+        assert error["type"] == "OverflowError" and "bound_Hzeta" in error["error"]
+        assert not cert.exists()
+
     def test_out_of_memory(self, tmp_path, capsys, monkeypatch):
         # commands are looked up by name, so the patched one runs and nothing
         # is allocated
